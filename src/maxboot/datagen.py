@@ -5,11 +5,19 @@ an AR(1) correlation structure, and each marginal is pushed through the
 standard normal CDF and the gamma(shape, 1) quantile.  Both structures are
 generated by exact O(np) constructions (common factor / first-order
 recursion) rather than a Cholesky factor, which gives the identical law.
+
+The transform is tabulated once per shape a and process, on first use: g(y) =
+log x at y_k = -9 + k/512 from the exact inverse (``gammaincinv(a, ndtr(y))``,
+or ``gammainccinv(a, ndtr(-y))`` for y > 0) with exact slopes g' = phi(y) /
+(x f_a(x)), joined by cubic Hermite pieces (Fritsch & Carlson 1980).  Points
+off [-9, 9], or next to a knot whose x is not a normal double (shape 0.05 below
+y = -8.04), take the exact inverse.  Tested error: at most 1e-12 relative.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,72 +106,63 @@ def gamma_cdf(x, shape_alpha: float):
     return special.gammainc(shape_alpha, x)
 
 
-def _gamma_logpdf(x: np.ndarray, a: float) -> np.ndarray:
-    return (a - 1.0) * np.log(x) - x - special.gammaln(a)
-
-
 def gamma_quantile(u, shape_alpha: float):
     """Inverse of ``gamma_cdf``: the gamma(shape, 1) quantile function.
 
-    Safeguarded Newton iteration on the regularized incomplete gamma with a
-    Wilson-Hilferty starting point; entries that fail to converge fall back
-    to bisection.  Accepts scalars or arrays with entries in the open
-    interval (0, 1).
+    ``gammaincinv`` for u <= 1/2 and ``gammainccinv`` on 1 - u above, for
+    scalars or arrays in (0, 1).  Near u = 1 it is only as good as u: rounding
+    ``ndtr(8)`` moves the shape-1 quantile by 2e-3; the sampler never forms u.
     """
     if shape_alpha <= 0.0:
         raise ValueError("shape_alpha must be positive")
-    scalar = np.isscalar(u)
-    u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64)).ravel()
+    u_arr = np.asarray(u, dtype=np.float64)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise ValueError("u must lie strictly inside (0, 1)")
-
-    a = float(shape_alpha)
-    # Wilson-Hilferty: cube of a shifted normal quantile, clamped positive.
-    z = special.ndtri(u_arr)
-    x = a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))) ** 3
-    x = np.maximum(x, 1e-300)
-
-    tol = 1e-10 * u_arr
-    active = np.ones(u_arr.shape, dtype=bool)
-    for _ in range(40):
-        xa = x[active]
-        fx = special.gammainc(a, xa) - u_arr[active]
-        done = np.abs(fx) <= tol[active]
-        if done.any():
-            act_idx = np.flatnonzero(active)
-            active[act_idx[done]] = False
-            xa = xa[~done]
-            fx = fx[~done]
-        if not active.any():
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = fx * np.exp(-_gamma_logpdf(xa, a))
-        limit = xa + a + 10.0  # cap runaway steps where the density underflows
-        step = np.clip(step, -limit, limit)
-        x_new = xa - step
-        bad = ~np.isfinite(x_new) | (x_new <= 0.0)
-        x[active] = np.where(bad, xa / 2.0, x_new)
-
-    if active.any():
-        x[active] = _gamma_quantile_bisect(u_arr[active], a)
-
-    return float(x[0]) if scalar else x.reshape(np.shape(u))
+    upper = special.gammainccinv(shape_alpha, 1.0 - u_arr)
+    x = np.where(u_arr <= 0.5, special.gammaincinv(shape_alpha, u_arr), upper)
+    return float(x) if np.isscalar(u) else x
 
 
-def _gamma_quantile_bisect(u: np.ndarray, a: float) -> np.ndarray:
-    lo = np.full(u.shape, 1e-300)
-    hi = np.full(u.shape, max(4.0 * a, 16.0))
-    for _ in range(200):
-        grow = special.gammainc(a, hi) < u
-        if not grow.any():
-            break
-        hi[grow] *= 2.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        below = special.gammainc(a, mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+def _exact_transform(y: np.ndarray, a: float) -> np.ndarray:
+    """F_a^{-1}(Phi(y)), inverting whichever tail probability Phi keeps exact."""
+    x = np.empty(y.shape)
+    lower = y <= 0.0
+    x[lower] = special.gammaincinv(a, special.ndtr(y[lower]))
+    x[~lower] = special.gammainccinv(a, special.ndtr(-y[~lower]))
+    return x
+
+
+_EDGE, _STEP, _INTERVALS = 9.0, 1.0 / 512.0, 9216  # 2 * _EDGE / _STEP intervals
+
+
+@functools.lru_cache(maxsize=16)
+def _transform_table(a: float) -> tuple[np.ndarray, ...]:
+    """(c0, c1, c2, c3) with g = ((c3 t + c2) t + c1) t + c0, t = (y - y_k) / h, at index
+    k + 1; NaN off the grid and next to any knot whose x is not a normal double."""
+    y = -_EDGE + _STEP * np.arange(_INTERVALS + 1)
+    x = _exact_transform(y, a)
+    g = np.log(np.where(x >= np.finfo(np.float64).tiny, x, np.nan))
+    # h g'(y) = h phi(y) / (x f_a(x)), with log(x f_a(x)) = a g - x - lgamma(a)
+    hm = _STEP * np.exp(special.gammaln(a) + x - a * g - 0.5 * (y * y + math.log(2 * math.pi)))
+    m0, m1, d = hm[:-1], hm[1:], np.diff(g)
+    coef = np.full((4, _INTERVALS + 2), np.nan)
+    coef[:, 1:-1] = g[:-1], m0, 3 * d - 2 * m0 - m1, m0 + m1 - 2 * d
+    coef.setflags(write=False)
+    return tuple(coef)
+
+
+def _normal_to_gamma(y: np.ndarray, a: float) -> np.ndarray:
+    """F_a^{-1}(Phi(y)) elementwise for a flat array: the table, else exact."""
+    c0, c1, c2, c3 = _transform_table(float(a))
+    u = (y + _EDGE) * (1.0 / _STEP)
+    k = np.floor(u)
+    t = u - k
+    idx = np.clip(k, -1.0, _INTERVALS).astype(np.intp) + 1
+    g = ((c3.take(idx) * t + c2.take(idx)) * t + c1.take(idx)) * t + c0.take(idx)
+    x = np.exp(g)
+    off = np.isnan(g)
+    x[off] = _exact_transform(y[off], a)
+    return x
 
 
 def sample_gaussian_copula(spec: CopulaSpec, n: int, p: int, seed: SeedSpec) -> DataMatrix:
@@ -190,5 +189,5 @@ def sample_gaussian_copula(spec: CopulaSpec, n: int, p: int, seed: SeedSpec) -> 
         c = math.sqrt(1.0 - rho * rho)
         for j in range(1, p):
             y[:, j] = rho * y[:, j - 1] + c * eps[:, j]
-    x = gamma_quantile(special.ndtr(y), spec.shape_alpha)
+    x = _normal_to_gamma(y.ravel(), spec.shape_alpha).reshape(n, p)
     return DataMatrix(values=x, known_mean=np.full(p, spec.shape_alpha))

@@ -20,6 +20,18 @@ def run_cli(*argv):
     return proc
 
 
+def test_cli_import_loads_no_heavy_scipy_and_no_table():
+    # scipy.signal alone would add ~0.7 s and ~50 MB to every run's start-up;
+    # the transform table is built on first use, not at import
+    code = (
+        "import sys, maxboot.cli; from maxboot import datagen; "
+        "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.sparse') if m in sys.modules], "
+        "datagen._transform_table.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.stdout.strip() == "[] 0", out.stderr
+
+
 # ---------------------------------------------------------------------------
 # config resolution
 # ---------------------------------------------------------------------------

@@ -5,9 +5,13 @@ import pytest
 from scipy import special
 
 from maxboot.datagen import (
+    _EDGE,
+    _INTERVALS,
+    _STEP,
     CopulaSpec,
     DataMatrix,
     Dependence,
+    _normal_to_gamma,
     gamma_cdf,
     gamma_quantile,
     sample_gaussian_copula,
@@ -68,6 +72,57 @@ def test_gamma_quantile_vectorized_shape():
     out = gamma_quantile(u, 2.0)
     assert out.shape == (2, 2)
     assert np.all(np.diff(out.ravel()[np.argsort(u.ravel())]) > 0)
+
+
+# ---------------------------------------------------------------------------
+# normal -> gamma transform table
+# ---------------------------------------------------------------------------
+
+TABLE_SHAPES = (0.05, 0.25, 0.5, 1.0, 2.5, 10.0)
+KNOTS = -_EDGE + _STEP * np.arange(_INTERVALS + 1)
+
+
+def exact_transform(y: np.ndarray, a: float) -> np.ndarray:
+    """F_a^{-1}(Phi(y)) from scipy, inverting the tail probability ndtr keeps exact."""
+    lower = special.gammaincinv(a, special.ndtr(y))
+    return np.where(y <= 0.0, lower, special.gammainccinv(a, special.ndtr(-y)))
+
+
+@pytest.mark.parametrize("a", TABLE_SHAPES)
+def test_transform_table_matches_exact_inverse(a):
+    # knots, interval midpoints (where the cubic Hermite error peaks) and normals
+    normals = np.random.default_rng(20250808).standard_normal(200_000)
+    y = np.concatenate([KNOTS, KNOTS[:-1] + 0.5 * _STEP, normals])
+    exact = exact_transform(y, a)
+    got = _normal_to_gamma(y, a)
+    normal = exact >= np.finfo(np.float64).tiny
+    assert np.max(np.abs(got[normal] - exact[normal]) / exact[normal]) <= 1e-12
+    # where x is not a normal double the exact path answers; shape 0.05 gets there
+    np.testing.assert_array_equal(got[~normal], exact[~normal])
+    assert (~normal).any() == (a == 0.05)
+
+
+def test_transform_exponential_tail_closed_form():
+    # shape 1 is Exp(1): x = -log(1 - Phi(y)); y > 9 is past the table's edge
+    y = np.linspace(0.0, 37.0, 37_001)
+    np.testing.assert_allclose(_normal_to_gamma(y, 1.0), -special.log_ndtr(-y), rtol=1e-12)
+
+
+@pytest.mark.parametrize("a", TABLE_SHAPES)
+def test_transform_far_upper_tail_is_finite(a):
+    # ndtr(y) rounds to 1 here, so no path through u = Phi(y) can answer
+    x = _normal_to_gamma(np.linspace(8.3, 37.0, 2_871), a)
+    assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)
+
+
+@pytest.mark.parametrize("a", TABLE_SHAPES)
+def test_transform_monotone_across_knots_and_edges(a):
+    # each knot, ±9 included, with a neighbour on either side
+    y = (KNOTS[:, None] + np.array([-1e-9, 0.0, 1e-9])).ravel()
+    x = _normal_to_gamma(y, a)
+    assert np.all(np.diff(x) >= 0.0)
+    normal = x[:-1] >= np.finfo(np.float64).tiny
+    assert np.all(np.diff(x)[normal] > 0.0)
 
 
 # ---------------------------------------------------------------------------
