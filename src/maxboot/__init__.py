@@ -1,7 +1,6 @@
 """maxboot: Monte Carlo engine for bootstrap inference on maxima of sums of
 independent high-dimensional random vectors."""
 
-from maxboot._backend import backend_name
 from maxboot.bootstrap import (
     GAUSSIAN,
     MAMMEN,

@@ -11,11 +11,12 @@ from __future__ import annotations
 import enum
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from maxboot import _backend
+from maxboot import _kernels
 from maxboot.datagen import DataMatrix
 from maxboot.rng import SeedSpec
 from maxboot.stat_core import EmpiricalDistribution, MaxMode
@@ -197,28 +198,25 @@ def _centered_values(data: DataMatrix, plan: BootstrapPlan) -> np.ndarray:
 
 
 def _replicate_rows(
-    data: DataMatrix, plan: BootstrapPlan, seeds: list[SeedSpec]
+    data: DataMatrix, plan: BootstrapPlan, rngs: Iterable[np.random.Generator], b: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replicate multiplier rows (or resample index rows) plus centered data."""
+    """Centered data plus one weight row per replicate, drawn from its stream.
+
+    The wild schemes' weights are the multipliers.  The empirical bootstrap's
+    are the multinomial counts of its resampled indices: summing the
+    resampled centered rows is the same as weighting each row by its count.
+    """
     n = data.n
     xc = _centered_values(data, plan)
+    rows = np.empty((b, n))
     if plan.scheme is Scheme.EMPIRICAL:
-        rows = np.empty((len(seeds), n), dtype=np.int64)
-        for r, s in enumerate(seeds):
-            rows[r] = s.rng().integers(0, n, n, dtype=np.int64)
+        for r, rng in enumerate(rngs):
+            rows[r] = np.bincount(rng.integers(0, n, n, dtype=np.int64), minlength=n)
         return xc, rows
     kind = plan.multiplier if plan.scheme is Scheme.WILD else mixed_multiplier(plan.p0)
-    rows = np.empty((len(seeds), n))
-    for r, s in enumerate(seeds):
-        rows[r] = _draw_from(kind, n, s.rng())
+    for r, rng in enumerate(rngs):
+        rows[r] = _draw_from(kind, n, rng)
     return xc, rows
-
-
-def _reduce(xc: np.ndarray, rows: np.ndarray, mode: MaxMode) -> np.ndarray:
-    absolute = mode is MaxMode.ABSOLUTE
-    if rows.dtype == np.int64:
-        return _backend.resample_max_reduce(xc, rows, absolute)
-    return _backend.wild_max_reduce(xc, rows, absolute)
 
 
 def bootstrap_stat_once(
@@ -227,8 +225,8 @@ def bootstrap_stat_once(
     """One draw of the bootstrapped max statistic."""
     if data.n < 2:
         raise ValueError("bootstrap requires at least two rows")
-    xc, rows = _replicate_rows(data, plan, [seed])
-    return float(_reduce(xc, rows, mode)[0])
+    xc, rows = _replicate_rows(data, plan, [seed.rng()], 1)
+    return float(_kernels.max_reduce(xc, rows, mode is MaxMode.ABSOLUTE)[0])
 
 
 def bootstrap_distribution(
@@ -241,6 +239,5 @@ def bootstrap_distribution(
     """
     if data.n < 2:
         raise ValueError("bootstrap requires at least two rows")
-    seeds = [seed.child(r) for r in range(plan.b_reps)]
-    xc, rows = _replicate_rows(data, plan, seeds)
-    return EmpiricalDistribution(_reduce(xc, rows, mode))
+    xc, rows = _replicate_rows(data, plan, seed.child_rngs(plan.b_reps), plan.b_reps)
+    return EmpiricalDistribution(_kernels.max_reduce(xc, rows, mode is MaxMode.ABSOLUTE))

@@ -279,12 +279,12 @@ def bootstrap_moment_tensor_mc(
     total_sq = np.zeros_like(total)
     kind = _plan_kind(plan)
     chunk = max(1, min(b_reps, 4096))
+    rngs = seed.child_rngs(b_reps)
     done = 0
     while done < b_reps:
         m = min(chunk, b_reps - done)
         weights = np.empty((m, n))
-        for r in range(m):
-            rng = seed.child(done + r).rng()
+        for r, rng in zip(range(m), rngs):
             if kind is None:
                 idx = rng.integers(0, n, n, dtype=np.int64)
                 weights[r] = np.bincount(idx, minlength=n)

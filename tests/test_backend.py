@@ -1,75 +1,41 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from maxboot import _backend, _kernels
-
-try:
-    from maxboot import _core
-except ImportError:
-    _core = None
+from maxboot import _kernels
 
 
-def test_backend_name_reports_both_kernels():
-    name = _backend.backend_name()
-    assert "wild=" in name and "resample=" in name
+def count_rows(rng, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Resample index rows and the multinomial count rows they make."""
+    idx = rng.integers(0, n, (b, n), dtype=np.int64)
+    counts = np.array([np.bincount(row, minlength=n) for row in idx], dtype=float)
+    return idx, counts
 
 
-@pytest.mark.skipif(_core is None, reason="compiled core not built")
-def test_kernels_agree_between_implementations(rng):
-    xc = rng.standard_normal((37, 11))
-    w = rng.standard_normal((23, 37))
-    idx = rng.integers(0, 37, (23, 37), dtype=np.int64)
+def test_count_rows_match_gather_sum_oracle(rng):
+    # the empirical bootstrap's count weights against summing the resampled rows
+    n, p = 37, 11
+    xc = rng.standard_normal((n, p))
+    idx, counts = count_rows(rng, 23, n)
     for absolute in (False, True):
+        sums = np.array([xc[row].sum(axis=0) for row in idx])
+        stats = np.abs(sums) if absolute else sums
         np.testing.assert_allclose(
-            _core.wild_max_reduce(xc, w, absolute),
-            _kernels.wild_max_reduce(xc, w, absolute),
-            rtol=1e-12,
+            _kernels.max_reduce(xc, counts, absolute), stats.max(axis=1) / np.sqrt(n), rtol=1e-12
         )
-        np.testing.assert_array_equal(
-            _core.resample_max_reduce(xc, idx, absolute),
-            _kernels.resample_max_reduce(xc, idx, absolute),
-        )
-
-
-def assert_single_row_matches_batch(mod, rng):
-    # a replicate's value must not depend on which batch it is computed in
-    xc = rng.standard_normal((20, 6))
-    w = rng.standard_normal((10, 20))
-    idx = rng.integers(0, 20, (10, 20), dtype=np.int64)
-    full_w = mod.wild_max_reduce(xc, w, False)
-    full_i = mod.resample_max_reduce(xc, idx, True)
-    for r in range(10):
-        assert mod.wild_max_reduce(xc, w[r : r + 1], False)[0] == full_w[r]
-        assert mod.resample_max_reduce(xc, idx[r : r + 1], True)[0] == full_i[r]
 
 
 def test_numpy_single_row_matches_batch(rng):
-    assert_single_row_matches_batch(_kernels, rng)
-
-
-@pytest.mark.skipif(_core is None, reason="compiled core not built")
-def test_single_row_matches_batch(rng):
-    assert_single_row_matches_batch(_core, rng)
-
-
-def test_force_py_env_selects_numpy():
-    code = (
-        "import os; os.environ['MAXBOOT_FORCE_PY']='1'; "
-        "from maxboot import _backend; print(_backend.backend_name())"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.stdout.strip() == "wild=numpy,resample=numpy"
+    # a replicate's value must not depend on which batch it is computed in
+    xc = rng.standard_normal((20, 6))
+    w = rng.standard_normal((10, 20))
+    _, counts = count_rows(rng, 10, 20)
+    full_w = _kernels.max_reduce(xc, w, False)
+    full_c = _kernels.max_reduce(xc, counts, True)
+    for r in range(10):
+        assert _kernels.max_reduce(xc, w[r : r + 1], False)[0] == full_w[r]
+        assert _kernels.max_reduce(xc, counts[r : r + 1], True)[0] == full_c[r]
 
 
 def test_shape_validation():
-    xc = np.zeros((4, 2))
     with pytest.raises(ValueError):
-        _kernels.wild_max_reduce(xc, np.zeros((3, 5)), False)
-    with pytest.raises(ValueError):
-        _kernels.resample_max_reduce(xc, np.zeros((3, 5), dtype=np.int64), False)
-    if _core is not None:
-        with pytest.raises(ValueError):
-            _core.wild_max_reduce(xc, np.zeros((3, 5)), False)
+        _kernels.max_reduce(np.zeros((4, 2)), np.zeros((3, 5)), False)

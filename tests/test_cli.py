@@ -124,9 +124,11 @@ def test_run_writes_csv_and_figure_data(tmp_path):
         ]
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == 4
-    fig_rows = list(csv.DictReader(fig.open()))
+    with fig.open() as handle:
+        fig_rows = list(csv.DictReader(handle))
     assert len(fig_rows) == 10  # 2 schemes x 5 outer reps
 
 

@@ -245,3 +245,27 @@ def test_monte_carlo_cross_check_requires_seed(rng):
     data = DataMatrix(rng.standard_normal((6, 2)))
     with pytest.raises(ValueError):
         moment_tensor_diff_max(data, BootstrapPlan.empirical(), 2, b_reps_for_nu=100)
+
+
+@pytest.mark.parametrize("plan", [BootstrapPlan.empirical(), BootstrapPlan.wild(MAMMEN)], ids=["empirical", "mammen"])
+def test_moment_tensor_mc_draws_replicate_r_from_child_r(plan):
+    # a loop over seed.child(r).rng() is the reference; 4100 replicates cross
+    # the 4096-replicate chunk boundary
+    from maxboot.bootstrap import _draw_from
+    from maxboot.moments import bootstrap_moment_tensor_mc
+
+    data = DataMatrix(np.random.default_rng(5).gamma(1.0, 1.0, (6, 2)))
+    xc = data.values - data.values.mean(axis=0)
+    b, n, s = 4100, 6, seed(41)
+    reps = []
+    for r in range(b):
+        rng = s.child(r).rng()
+        if plan.multiplier is None:
+            w = np.bincount(rng.integers(0, n, n, dtype=np.int64), minlength=n)
+        else:
+            w = _draw_from(plan.multiplier, n, rng) ** 2
+        reps.append(np.einsum("i,ia,ib->ab", w, xc, xc) / n)
+    reps = np.array(reps)
+    mean, se = bootstrap_moment_tensor_mc(data, plan, 2, b, s)
+    np.testing.assert_allclose(mean, reps.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(se, reps.std(axis=0) / math.sqrt(b), rtol=1e-9)
