@@ -7,7 +7,6 @@ from maxboot.bootstrap import (
     RADEMACHER,
     BootstrapPlan,
     MultiplierKind,
-    Scheme,
     bootstrap_distribution,
     bootstrap_stat_once,
     draw_multipliers,

@@ -8,7 +8,6 @@ and identical under any evaluation order or batching.
 
 from __future__ import annotations
 
-import enum
 import logging
 import math
 from collections.abc import Iterable
@@ -31,7 +30,6 @@ __all__ = [
     "multiplier_moments",
     "multiplier_moment",
     "draw_multipliers",
-    "Scheme",
     "BootstrapPlan",
     "bootstrap_stat_once",
     "bootstrap_distribution",
@@ -130,60 +128,42 @@ def draw_multipliers(kind: MultiplierKind, n: int, seed: SeedSpec) -> np.ndarray
     return _draw_from(kind, n, seed.rng())
 
 
-class Scheme(enum.Enum):
-    EMPIRICAL = "empirical"
-    WILD = "wild"
-    MIXED_WILD = "mixed_wild"
-
-
 @dataclass(frozen=True)
 class BootstrapPlan:
-    """One resampling scheme plus its replicate budget.
+    """One resampling scheme plus its replicate budget: a multiplier law for
+    the wild bootstrap, or None for the empirical bootstrap.
 
     Empirical and wild resampling operate on sample-mean-centered rows;
     the mixed wild bootstrap deliberately does not subtract the sample mean
     (it centers at the known mean when the data carry one).
     """
 
-    scheme: Scheme
-    multiplier: MultiplierKind | None = None
-    p0: float = 0.5
+    multiplier: MultiplierKind | None
     b_reps: int = 500
 
     def __post_init__(self) -> None:
         if self.b_reps < 1:
             raise ValueError("b_reps must be at least 1")
-        if self.scheme is Scheme.WILD:
-            if self.multiplier is None:
-                raise ValueError("wild scheme requires a multiplier kind")
-        elif self.multiplier is not None:
-            raise ValueError(f"multiplier only applies to the wild scheme, not {self.scheme}")
-        if self.scheme is Scheme.MIXED_WILD and not 0.0 < self.p0 < 1.0:
-            raise ValueError("mixed wild scheme requires p0 in (0, 1)")
 
     @property
     def center_by_sample_mean(self) -> bool:
-        return self.scheme is not Scheme.MIXED_WILD
+        return self.multiplier is None or self.multiplier.name != "mixed"
 
     @property
     def name(self) -> str:
-        if self.scheme is Scheme.EMPIRICAL:
-            return "empirical"
-        if self.scheme is Scheme.MIXED_WILD:
-            return "mixed"
-        return self.multiplier.name
+        return "empirical" if self.multiplier is None else self.multiplier.name
 
     @classmethod
     def empirical(cls, b_reps: int = 500) -> "BootstrapPlan":
-        return cls(Scheme.EMPIRICAL, b_reps=b_reps)
+        return cls(None, b_reps)
 
     @classmethod
     def wild(cls, multiplier: MultiplierKind, b_reps: int = 500) -> "BootstrapPlan":
-        return cls(Scheme.WILD, multiplier=multiplier, b_reps=b_reps)
+        return cls(multiplier, b_reps)
 
     @classmethod
     def mixed_wild(cls, p0: float = 0.5, b_reps: int = 500) -> "BootstrapPlan":
-        return cls(Scheme.MIXED_WILD, p0=p0, b_reps=b_reps)
+        return cls(mixed_multiplier(p0), b_reps)
 
 
 def _centered_values(data: DataMatrix, plan: BootstrapPlan) -> np.ndarray:
@@ -198,25 +178,21 @@ def _centered_values(data: DataMatrix, plan: BootstrapPlan) -> np.ndarray:
 
 
 def _replicate_rows(
-    data: DataMatrix, plan: BootstrapPlan, rngs: Iterable[np.random.Generator], b: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Centered data plus one weight row per replicate, drawn from its stream.
+    plan: BootstrapPlan, n: int, rngs: Iterable[np.random.Generator], b: int
+) -> np.ndarray:
+    """One weight row per replicate, drawn from its stream.
 
     The wild schemes' weights are the multipliers.  The empirical bootstrap's
     are the multinomial counts of its resampled indices: summing the
     resampled centered rows is the same as weighting each row by its count.
     """
-    n = data.n
-    xc = _centered_values(data, plan)
     rows = np.empty((b, n))
-    if plan.scheme is Scheme.EMPIRICAL:
-        for r, rng in enumerate(rngs):
-            rows[r] = np.bincount(rng.integers(0, n, n, dtype=np.int64), minlength=n)
-        return xc, rows
-    kind = plan.multiplier if plan.scheme is Scheme.WILD else mixed_multiplier(plan.p0)
     for r, rng in enumerate(rngs):
-        rows[r] = _draw_from(kind, n, rng)
-    return xc, rows
+        if plan.multiplier is None:
+            rows[r] = np.bincount(rng.integers(0, n, n, dtype=np.int64), minlength=n)
+        else:
+            rows[r] = _draw_from(plan.multiplier, n, rng)
+    return rows
 
 
 def bootstrap_stat_once(
@@ -225,7 +201,8 @@ def bootstrap_stat_once(
     """One draw of the bootstrapped max statistic."""
     if data.n < 2:
         raise ValueError("bootstrap requires at least two rows")
-    xc, rows = _replicate_rows(data, plan, [seed.rng()], 1)
+    xc = _centered_values(data, plan)
+    rows = _replicate_rows(plan, data.n, [seed.rng()], 1)
     return float(_kernels.max_reduce(xc, rows, mode is MaxMode.ABSOLUTE)[0])
 
 
@@ -239,5 +216,6 @@ def bootstrap_distribution(
     """
     if data.n < 2:
         raise ValueError("bootstrap requires at least two rows")
-    xc, rows = _replicate_rows(data, plan, seed.child_rngs(plan.b_reps), plan.b_reps)
+    xc = _centered_values(data, plan)
+    rows = _replicate_rows(plan, data.n, seed.child_rngs(plan.b_reps), plan.b_reps)
     return EmpiricalDistribution(_kernels.max_reduce(xc, rows, mode is MaxMode.ABSOLUTE))

@@ -91,13 +91,17 @@ def _parse_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _DEFAULTS and key != "preset":
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value
+        try:
+            values[key] = _coerce(key, value)
+        except ValueError:
+            expects = "an integer" if key in _INT_KEYS else "a number"
+            raise ValueError(
+                f"{path}:{lineno}: key {key!r} expects {expects}, got {value!r}"
+            ) from None
     return values
 
 
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
+def _coerce(key: str, value: str):
     if key in _INT_KEYS:
         return int(value)
     if key in _FLOAT_KEYS:
@@ -116,7 +120,12 @@ def _parse_schemes(spec: str, b_reps: int) -> tuple[BootstrapPlan, ...]:
         if kind == "empirical":
             plans.append(BootstrapPlan.empirical(b_reps))
         elif kind == "mixed":
-            p0 = float(arg) if arg else 0.5
+            try:
+                p0 = float(arg) if arg else 0.5
+            except ValueError:
+                raise ValueError(
+                    f"bad scheme {token!r} (use mix[:p0] with p0 a number in (0, 1))"
+                ) from None
             plans.append(BootstrapPlan.mixed_wild(p0, b_reps))
         else:
             mult = {"gaussian": GAUSSIAN, "mammen": MAMMEN, "rademacher": RADEMACHER}[kind]
@@ -138,7 +147,6 @@ def build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             values[key] = cli_value
-    values = {key: _coerce(key, value) for key, value in values.items()}
 
     if values["experiment"] not in ("I", "II"):
         raise ValueError("experiment must be 'I' or 'II'")
@@ -153,7 +161,6 @@ def build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
         schemes=_parse_schemes(values["schemes"], values["breps"]),
         outer_reps=values["outer"],
         truth_reps=values["truth"],
-        b_reps=values["breps"],
         master_seed=values["seed"],
         alpha_level=values["alpha"],
         mode=mode,
@@ -191,6 +198,8 @@ def _check_reports(suite: str, trials: int, reps: int, seed: int):
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     failed = 0
     for report in _check_reports(args.suite, args.trials, args.reps, args.seed):
         print(json.dumps(dataclasses.asdict(report)))

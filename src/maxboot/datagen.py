@@ -93,9 +93,7 @@ class DataMatrix:
 
 
 def standard_normal_cdf(x):
-    """Phi(x) through the erf-based formula; exact to full double precision."""
-    if np.isscalar(x):
-        return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
+    """Phi(x) through scipy's ``ndtr``; exact to full double precision."""
     return special.ndtr(np.asarray(x, dtype=np.float64))
 
 

@@ -55,15 +55,14 @@ class ExperimentConfig:
     schemes: tuple[BootstrapPlan, ...]
     outer_reps: int
     truth_reps: int
-    b_reps: int
     master_seed: int
     alpha_level: float = 0.05
     mode: MaxMode = MaxMode.ONE_SIDED
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        if min(self.outer_reps, self.truth_reps, self.b_reps) < 1:
-            raise ValueError("outer_reps, truth_reps and b_reps must be at least 1")
+        if min(self.outer_reps, self.truth_reps) < 1:
+            raise ValueError("outer_reps and truth_reps must be at least 1")
         if not 0.0 < self.alpha_level < 1.0:
             raise ValueError("alpha_level must lie in (0, 1)")
         if self.n < 2 or self.p < 1:
@@ -96,11 +95,13 @@ class ExperimentResult:
     rows: list[ResultRow]
     per_rep_ks: dict[str, np.ndarray]
     per_rep_cover: dict[str, np.ndarray]
-    truth: EmpiricalDistribution | None
+    truth: EmpiricalDistribution
 
 
 def _blocks(total: int, jobs: int) -> list[range]:
-    size = max(1, math.ceil(total / (max(jobs, 1) * 8)))
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    size = max(1, math.ceil(total / (jobs * 8)))
     return [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
@@ -135,45 +136,35 @@ def _outer_block(
     return out
 
 
-def _run_blocks(fn, block_args: list, jobs: int) -> dict[int, list]:
-    """Evaluate blocks, returning whatever completed if interrupted."""
-    results: dict[int, list] = {}
-    if jobs <= 1:
-        try:
-            for bi, args in enumerate(block_args):
-                results[bi] = fn(*args)
-        except KeyboardInterrupt:
-            raise KeyboardInterrupt from _Partial(results)
-        return results
+def _run_blocks(fn, block_args: list, jobs: int, out: list) -> None:
+    """Evaluate blocks in order, appending each block's items to ``out``; on
+    an interrupt the items of the blocks completed so far stay there."""
+    if jobs == 1:
+        for args in block_args:
+            out.extend(fn(*args))
+        return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(fn, *args): bi for bi, args in enumerate(block_args)}
+        futures = [pool.submit(fn, *args) for args in block_args]
         try:
-            for future, bi in futures.items():
-                results[bi] = future.result()
-        except KeyboardInterrupt:
             for future in futures:
-                future.cancel()
-            raise KeyboardInterrupt from _Partial(results)
-    return results
-
-
-class _Partial(BaseException):
-    """Carrier for block results completed before an interrupt."""
-
-    def __init__(self, results: dict[int, list]):
-        self.results = results
+                out.extend(future.result())
+        except KeyboardInterrupt:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def run_truth(config: ExperimentConfig, jobs: int = 1) -> EmpiricalDistribution:
     """Monte Carlo law of the true statistic over truth_reps fresh datasets."""
     logger.info("simulating truth law: %d replicates", config.truth_reps)
     blocks = _blocks(config.truth_reps, jobs)
-    results = _run_blocks(_truth_block, [(config, b) for b in blocks], jobs)
-    stats = [v for bi in sorted(results) for v in results[bi]]
+    stats: list[float] = []
+    _run_blocks(_truth_block, [(config, b) for b in blocks], jobs, stats)
     return EmpiricalDistribution(np.asarray(stats))
 
 
-def _aggregate(config: ExperimentConfig, per_rep: list) -> ExperimentResult:
+def _aggregate(
+    config: ExperimentConfig, per_rep: list, truth: EmpiricalDistribution
+) -> ExperimentResult:
     names = [plan.name for plan in config.schemes]
     per_rep_ks = {}
     per_rep_cover = {}
@@ -198,7 +189,7 @@ def _aggregate(config: ExperimentConfig, per_rep: list) -> ExperimentResult:
                 )
             )
     rows.sort(key=lambda row: (row.experiment, row.scheme, row.metric))
-    return ExperimentResult(rows=rows, per_rep_ks=per_rep_ks, per_rep_cover=per_rep_cover, truth=None)
+    return ExperimentResult(rows=rows, per_rep_ks=per_rep_ks, per_rep_cover=per_rep_cover, truth=truth)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
@@ -212,24 +203,15 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     truth = run_truth(config, jobs=jobs)
     logger.info("running %d outer replicates", config.outer_reps)
     blocks = _blocks(config.outer_reps, jobs)
-    args = [(config, truth.sample, b) for b in blocks]
+    per_rep: list = []
     try:
-        results = _run_blocks(_outer_block, args, jobs)
-    except KeyboardInterrupt as exc:
-        partial = exc.__cause__.results if isinstance(exc.__cause__, _Partial) else {}
-        done = [item for bi in sorted(partial) for item in partial[bi]]
-        if done and config.output_path:
-            logger.warning("interrupted; flushing %d completed replicates", len(done))
-            emit_results(_aggregate(config, done).rows, "csv", config.output_path)
+        _run_blocks(_outer_block, [(config, truth.sample, b) for b in blocks], jobs, per_rep)
+    except KeyboardInterrupt:
+        if per_rep and config.output_path:
+            logger.warning("interrupted; flushing %d completed replicates", len(per_rep))
+            emit_results(_aggregate(config, per_rep, truth).rows, "csv", config.output_path)
         raise
-    per_rep = [item for bi in sorted(results) for item in results[bi]]
-    outcome = _aggregate(config, per_rep)
-    return ExperimentResult(
-        rows=outcome.rows,
-        per_rep_ks=outcome.per_rep_ks,
-        per_rep_cover=outcome.per_rep_cover,
-        truth=truth,
-    )
+    return _aggregate(config, per_rep, truth)
 
 
 _COLUMNS = ("experiment", "rho", "shape_alpha", "scheme", "metric", "mean", "std", "reps")

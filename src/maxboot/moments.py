@@ -11,6 +11,7 @@ estimate different population quantities.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,9 +19,8 @@ import numpy as np
 
 from maxboot.bootstrap import (
     BootstrapPlan,
-    Scheme,
-    _draw_from,
-    mixed_multiplier,
+    _centered_values,
+    _replicate_rows,
     multiplier_moment,
 )
 from maxboot.datagen import DataMatrix
@@ -92,25 +92,18 @@ def estimate_moment_summary(data: DataMatrix, center: Centering) -> MomentSummar
     if data.n < 2:
         raise ValueError("need at least two rows")
     xc = np.abs(_center(data, center))
-
-    def col_avg_max(m: int) -> float:
-        return float((xc**m).mean(axis=0).max() ** (1.0 / m))
-
-    mcal_m1 = {}
-    mcal_m2 = {}
-    for m in _MCAL_ORDERS:
-        # plug-in of (1/n) sum_i max_j E|.|^m and of E max_j (1/n) sum_i |.|^m:
-        # with E replaced by the average over rows both reduce to col_avg_max
-        mcal_m1[m] = col_avg_max(m)
-        mcal_m2[m] = col_avg_max(m)
+    # max over columns of the row-averaged |.|^m, to the 1/m.  This is also the
+    # plug-in of (1/n) sum_i max_j E|.|^m and of E max_j (1/n) sum_i |.|^m:
+    # with E replaced by the average over rows both reduce to it
+    col_avg_max = {m: float((xc**m).mean(axis=0).max() ** (1.0 / m)) for m in _MCAL_ORDERS}
     return MomentSummary(
-        M2=col_avg_max(2),
-        M4=col_avg_max(4),
-        M6=col_avg_max(6),
+        M2=col_avg_max[2],
+        M4=col_avg_max[4],
+        M6=col_avg_max[6],
         sigma_lower=float(math.sqrt((xc**2).mean(axis=0).min())),
         Mcal4=float(((xc**4).max(axis=1).mean()) ** 0.25),
-        Mcal_m1=mcal_m1,
-        Mcal_m2=mcal_m2,
+        Mcal_m1=dict(col_avg_max),
+        Mcal_m2=dict(col_avg_max),
     )
 
 
@@ -205,20 +198,6 @@ def _mean_tensor(xc: np.ndarray, order: int) -> np.ndarray:
     return np.einsum(_TENSOR_SPEC[order], *([xc] * order)) / xc.shape[0]
 
 
-def _plan_kind(plan: BootstrapPlan):
-    if plan.scheme is Scheme.WILD:
-        return plan.multiplier
-    if plan.scheme is Scheme.MIXED_WILD:
-        return mixed_multiplier(plan.p0)
-    return None
-
-
-def _plan_centered(data: DataMatrix, plan: BootstrapPlan) -> np.ndarray:
-    if not plan.center_by_sample_mean and data.known_mean is not None:
-        return data.values - data.known_mean
-    return data.values - data.values.mean(axis=0)
-
-
 def moment_tensor_diff_max(
     data: DataMatrix,
     plan: BootstrapPlan,
@@ -241,11 +220,11 @@ def moment_tensor_diff_max(
     if data.n < 2:
         raise ValueError("need at least two rows")
     mu_hat = _mean_tensor(data.values - data.values.mean(axis=0), order)
-    kind = _plan_kind(plan)
-    if kind is None:
+    if plan.multiplier is None:
         nu_hat = mu_hat
     else:
-        nu_hat = multiplier_moment(kind, order) * _mean_tensor(_plan_centered(data, plan), order)
+        xc = _centered_values(data, plan)
+        nu_hat = multiplier_moment(plan.multiplier, order) * _mean_tensor(xc, order)
 
     if b_reps_for_nu > 0:
         if seed is None:
@@ -269,31 +248,23 @@ def bootstrap_moment_tensor_mc(
     """Monte Carlo mean and standard error of the conditional bootstrap
     moment tensor (1/n) sum_i (X*_i)^(x order) over b_reps replicates."""
     _tensor_guard(order, data.p)
-    n = data.n
-    xc = _plan_centered(data, plan)
+    xc = _centered_values(data, plan)
     # per-row rank-one tensors, stacked: shape (n, p, ..., p)
     stack_spec = {2: "ia,ib->iab", 3: "ia,ib,ic->iabc", 4: "ia,ib,ic,id->iabcd"}[order]
     row_tensors = np.einsum(stack_spec, *([xc] * order))
 
     total = np.zeros(row_tensors.shape[1:])
     total_sq = np.zeros_like(total)
-    kind = _plan_kind(plan)
-    chunk = max(1, min(b_reps, 4096))
     rngs = seed.child_rngs(b_reps)
-    done = 0
-    while done < b_reps:
-        m = min(chunk, b_reps - done)
-        weights = np.empty((m, n))
-        for r, rng in zip(range(m), rngs):
-            if kind is None:
-                idx = rng.integers(0, n, n, dtype=np.int64)
-                weights[r] = np.bincount(idx, minlength=n)
-            else:
-                weights[r] = _draw_from(kind, n, rng) ** order
-        reps = np.einsum("ri,i...->r...", weights, row_tensors) / n
+    for done in range(0, b_reps, 4096):
+        m = min(4096, b_reps - done)
+        weights = _replicate_rows(plan, data.n, itertools.islice(rngs, m), m)
+        if plan.multiplier is not None:
+            # a wild replicate weights row i's tensor by W_i^order
+            weights **= order
+        reps = np.einsum("ri,i...->r...", weights, row_tensors) / data.n
         total += reps.sum(axis=0)
         total_sq += (reps**2).sum(axis=0)
-        done += m
     mean = total / b_reps
     var = np.maximum(total_sq / b_reps - mean**2, 0.0)
     se = np.sqrt(var / b_reps)

@@ -64,7 +64,6 @@ def desk_config() -> ExperimentConfig:
         ),
         outer_reps=100,
         truth_reps=2000,
-        b_reps=b,
         master_seed=DESK_SEED,
     )
 
@@ -158,7 +157,6 @@ def test_criterion_03_ks_values_full_scale():
         ),
         outer_reps=500,
         truth_reps=5000,
-        b_reps=b,
         master_seed=DESK_SEED,
     )
     result = run_experiment(config, jobs=JOBS)

@@ -12,7 +12,6 @@ from maxboot.bootstrap import (
     MAMMEN_VALUE_PLUS,
     RADEMACHER,
     BootstrapPlan,
-    Scheme,
     bootstrap_distribution,
     bootstrap_stat_once,
     draw_multipliers,
@@ -230,16 +229,15 @@ def test_bootstrap_rejects_single_row():
 
 def test_plan_validation_and_centering_flags():
     with pytest.raises(ValueError):
-        BootstrapPlan(Scheme.WILD)  # missing multiplier
-    with pytest.raises(ValueError):
-        BootstrapPlan(Scheme.EMPIRICAL, multiplier=GAUSSIAN)
-    with pytest.raises(ValueError):
         BootstrapPlan.mixed_wild(p0=0.0)
     with pytest.raises(ValueError):
         BootstrapPlan.empirical(b_reps=0)
     assert BootstrapPlan.empirical().center_by_sample_mean
     assert BootstrapPlan.wild(MAMMEN).center_by_sample_mean
     assert not BootstrapPlan.mixed_wild(0.5).center_by_sample_mean
+    # a wild plan with the mixed law is the mixed wild bootstrap, centering included
+    assert BootstrapPlan.wild(mixed_multiplier(0.3)) == BootstrapPlan.mixed_wild(0.3)
+    assert not BootstrapPlan.wild(mixed_multiplier(0.3)).center_by_sample_mean
 
 
 def test_mixed_wild_warns_without_known_mean(caplog):

@@ -46,14 +46,16 @@ def parse_args(*argv):
 def test_defaults_match_full_scale():
     config, values = build_config(parse_args())
     assert (config.n, config.p) == (200, 400)
-    assert (config.outer_reps, config.truth_reps, config.b_reps) == (500, 5000, 500)
+    assert (config.outer_reps, config.truth_reps) == (500, 5000)
+    assert {plan.b_reps for plan in config.schemes} == {500}
     assert config.copula.structure is Dependence.AR1
     assert [p.name for p in config.schemes] == ["gaussian", "mammen", "rademacher", "empirical"]
 
 
 def test_desk_preset():
     config, _ = build_config(parse_args("--preset", "desk"))
-    assert (config.outer_reps, config.truth_reps, config.b_reps, config.p) == (100, 2000, 200, 100)
+    assert (config.outer_reps, config.truth_reps, config.p) == (100, 2000, 100)
+    assert {plan.b_reps for plan in config.schemes} == {200}
     assert config.n == 200
 
 
@@ -96,9 +98,23 @@ def test_config_file_rejects_unknown_key(tmp_path):
         build_config(parse_args("--config", str(cfg)))
 
 
+def test_config_file_bad_value_names_path_line_and_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("outer = 3\nn = abc\n")
+    with pytest.raises(ValueError) as err:
+        build_config(parse_args("--config", str(cfg)))
+    assert str(err.value) == f"{cfg}:2: key 'n' expects an integer, got 'abc'"
+
+
+def test_mixed_scheme_bad_p0_names_token(capsys):
+    assert main(["run", "--schemes", "g,mix:abc"]) == 1
+    err = capsys.readouterr().err
+    assert "'mix:abc'" in err and "mix[:p0]" in err
+
+
 def test_mixed_scheme_with_p0():
     config, _ = build_config(parse_args("--schemes", "mix:0.3,e"))
-    assert config.schemes[0].p0 == 0.3
+    assert config.schemes[0].multiplier.p0 == 0.3
     assert config.schemes[0].name == "mixed"
 
 
@@ -149,6 +165,19 @@ def test_run_json_output(tmp_path):
     assert code == 0
     parsed = json.loads(out.read_text())
     assert {r["metric"] for r in parsed} == {"KS", "Coverage"}
+
+
+def test_run_rejects_jobs_below_one(capsys):
+    argv = ["run", "--n", "8", "--p", "2", "--outer", "2", "--truth", "4", "--breps", "4"]
+    assert main([*argv, "--jobs", "0"]) == 1
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_check_rejects_trials_below_one(capsys):
+    assert main(["check", "--suite", "smoothmax", "--trials", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--trials must be at least 1" in out.err
 
 
 def test_check_subcommand_json_lines():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from maxboot import harness
 from maxboot.bootstrap import GAUSSIAN, BootstrapPlan
 from maxboot.datagen import CopulaSpec, Dependence
 from maxboot.harness import (
@@ -25,7 +26,6 @@ def tiny_config(**overrides):
         schemes=(BootstrapPlan.wild(GAUSSIAN, 30), BootstrapPlan.empirical(30)),
         outer_reps=8,
         truth_reps=60,
-        b_reps=30,
         master_seed=31415,
     )
     defaults.update(overrides)
@@ -116,6 +116,38 @@ def test_degenerate_truth_ks_exact():
 def test_mode_absolute_runs():
     result = run_experiment(tiny_config(mode=MaxMode.ABSOLUTE, outer_reps=3))
     assert all(row.mean >= 0.0 for row in result.rows)
+
+
+def test_interrupt_flushes_completed_replicates(tmp_path, monkeypatch, caplog):
+    # 16 outer replicates at one job run as eight blocks of two; the second
+    # block is interrupted, so the flush holds exactly replicates 0 and 1
+    block = harness._outer_block
+    calls = []
+
+    def interrupted_block(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return block(*args)
+
+    monkeypatch.setattr(harness, "_outer_block", interrupted_block)
+    flushed = tmp_path / "partial.csv"
+    with caplog.at_level("WARNING", logger="maxboot.harness"):
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(tiny_config(outer_reps=16, output_path=str(flushed)), jobs=1)
+    assert any("interrupted" in rec.message for rec in caplog.records)
+
+    monkeypatch.setattr(harness, "_outer_block", block)
+    clean = tmp_path / "clean.csv"
+    emit_results(run_experiment(tiny_config(outer_reps=2)).rows, "csv", str(clean))
+    assert flushed.read_bytes() == clean.read_bytes()
+
+
+def test_jobs_below_one_rejected():
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_truth(tiny_config(), jobs=0)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_experiment(tiny_config(), jobs=-3)
 
 
 def test_config_validation():

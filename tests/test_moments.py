@@ -247,15 +247,25 @@ def test_monte_carlo_cross_check_requires_seed(rng):
         moment_tensor_diff_max(data, BootstrapPlan.empirical(), 2, b_reps_for_nu=100)
 
 
-@pytest.mark.parametrize("plan", [BootstrapPlan.empirical(), BootstrapPlan.wild(MAMMEN)], ids=["empirical", "mammen"])
-def test_moment_tensor_mc_draws_replicate_r_from_child_r(plan):
+@pytest.mark.parametrize(
+    "plan, at_known_mean",
+    [
+        (BootstrapPlan.empirical(), False),
+        (BootstrapPlan.wild(MAMMEN), False),
+        (BootstrapPlan.mixed_wild(0.5), True),
+    ],
+    ids=["empirical", "mammen", "mixed"],
+)
+def test_moment_tensor_mc_draws_replicate_r_from_child_r(plan, at_known_mean):
     # a loop over seed.child(r).rng() is the reference; 4100 replicates cross
-    # the 4096-replicate chunk boundary
+    # the 4096-replicate chunk boundary.  Only the mixed wild bootstrap centers
+    # at the known mean; the others subtract the sample mean.
     from maxboot.bootstrap import _draw_from
     from maxboot.moments import bootstrap_moment_tensor_mc
 
-    data = DataMatrix(np.random.default_rng(5).gamma(1.0, 1.0, (6, 2)))
-    xc = data.values - data.values.mean(axis=0)
+    values = np.random.default_rng(5).gamma(1.0, 1.0, (6, 2))
+    data = DataMatrix(values, known_mean=np.ones(2))
+    xc = values - (data.known_mean if at_known_mean else values.mean(axis=0))
     b, n, s = 4100, 6, seed(41)
     reps = []
     for r in range(b):

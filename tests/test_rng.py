@@ -98,7 +98,6 @@ def test_run_experiment_streams_are_distinct(monkeypatch):
         ),
         outer_reps=4,
         truth_reps=6,
-        b_reps=20,
         master_seed=0,
     )
     run_experiment(config)
