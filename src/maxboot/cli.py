@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
+import math
 import sys
 
 import numpy as np
@@ -27,37 +29,42 @@ from maxboot.bootstrap import (
     BootstrapPlan,
 )
 from maxboot.datagen import CopulaSpec, DataMatrix, Dependence
-from maxboot.harness import ExperimentConfig, emit_figure_data, emit_results, run_experiment
+from maxboot.harness import (
+    ExperimentConfig,
+    ExperimentResult,
+    emit_figure_data,
+    emit_results,
+    run_experiment,
+)
 from maxboot.moments import Centering, estimate_moment_summary, rate_certificate
 from maxboot.rng import SeedSpec
 from maxboot.stat_core import MaxMode
 
-_DEFAULTS = {
-    "experiment": "II",
-    "rho": 0.2,
-    "shape": 1.0,
-    "n": 200,
-    "p": 400,
-    "outer": 500,
-    "truth": 5000,
-    "breps": 500,
-    "alpha": 0.05,
-    "mode": "onesided",
-    "schemes": "g,m,r,e",
-    "seed": 20250808,
-    "jobs": 1,
-    "format": "csv",
-    "out": None,
-    "figure_data": None,
+# every `run` key: (type, default, choices, help); the flags are built from
+# this table in this order, and config-file values get the same checks
+_RUN_KEYS = {
+    "experiment": (str, "II", ("I", "II"), None),
+    "rho": (float, 0.2, None, None),
+    "shape": (float, 1.0, None, "gamma shape parameter"),
+    "n": (int, 200, None, None),
+    "p": (int, 400, None, None),
+    "outer": (int, 500, None, "number of dataset replicates"),
+    "truth": (int, 5000, None, "Monte Carlo size of the truth law"),
+    "breps": (int, 500, None, "bootstrap replicates per dataset"),
+    "alpha": (float, 0.05, None, None),
+    "mode": (str, "onesided", ("onesided", "abs"), None),
+    "schemes": (str, "g,m,r,e", None, "comma list: g,m,r,e,mix[:p0]"),
+    "seed": (int, 20250808, None, None),
+    "jobs": (int, 1, None, "parallel workers over outer replicates"),
+    "format": (str, "csv", ("csv", "json"), None),
+    "out": (str, None, None, "results path (default stdout)"),
+    "figure_data": (str, None, None, "per-replicate KS CSV path"),
 }
 
 _PRESETS = {
     "desk": {"outer": 100, "truth": 2000, "breps": 200, "p": 100},
     "paper": {"outer": 500, "truth": 5000, "breps": 500, "n": 200, "p": 400},
 }
-
-_INT_KEYS = {"n", "p", "outer", "truth", "breps", "seed", "jobs"}
-_FLOAT_KEYS = {"rho", "shape", "alpha"}
 
 _SCHEME_ALIASES = {
     "g": "gaussian",
@@ -89,24 +96,24 @@ def _parse_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _DEFAULTS and key != "preset":
+        if key == "preset":
+            kind, choices = str, tuple(_PRESETS)
+        elif key in _RUN_KEYS:
+            kind, _, choices, _ = _RUN_KEYS[key]
+        else:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = _coerce(key, value)
+            values[key] = kind(value)
         except ValueError:
-            expects = "an integer" if key in _INT_KEYS else "a number"
+            expects = "an integer" if kind is int else "a number"
             raise ValueError(
                 f"{path}:{lineno}: key {key!r} expects {expects}, got {value!r}"
             ) from None
+        if choices and values[key] not in choices:
+            raise ValueError(
+                f"{path}:{lineno}: key {key!r} expects one of {', '.join(choices)}, got {value!r}"
+            )
     return values
-
-
-def _coerce(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
 
 
 def _parse_schemes(spec: str, b_reps: int) -> tuple[BootstrapPlan, ...]:
@@ -123,9 +130,9 @@ def _parse_schemes(spec: str, b_reps: int) -> tuple[BootstrapPlan, ...]:
             try:
                 p0 = float(arg) if arg else 0.5
             except ValueError:
-                raise ValueError(
-                    f"bad scheme {token!r} (use mix[:p0] with p0 a number in (0, 1))"
-                ) from None
+                p0 = math.nan
+            if not 0.0 < p0 < 1.0:
+                raise ValueError(f"bad scheme {token!r} (use mix[:p0] with p0 a number in (0, 1))")
             plans.append(BootstrapPlan.mixed_wild(p0, b_reps))
         else:
             mult = {"gaussian": GAUSSIAN, "mammen": MAMMEN, "rademacher": RADEMACHER}[kind]
@@ -135,25 +142,18 @@ def _parse_schemes(spec: str, b_reps: int) -> tuple[BootstrapPlan, ...]:
 
 def build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
     """Resolve defaults < preset < config file < explicit CLI flags."""
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (_, default, _, _) in _RUN_KEYS.items()}
     file_values = _parse_config_file(args.config) if args.config else {}
     preset = args.preset or file_values.pop("preset", None)
     if preset is not None:
-        if preset not in _PRESETS:
-            raise ValueError(f"unknown preset {preset!r}")
         values.update(_PRESETS[preset])
     values.update(file_values)
-    for key in _DEFAULTS:
+    for key in _RUN_KEYS:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             values[key] = cli_value
 
-    if values["experiment"] not in ("I", "II"):
-        raise ValueError("experiment must be 'I' or 'II'")
     structure = Dependence.EQUICORRELATED if values["experiment"] == "I" else Dependence.AR1
-    mode = {"onesided": MaxMode.ONE_SIDED, "abs": MaxMode.ABSOLUTE}.get(values["mode"])
-    if mode is None:
-        raise ValueError("mode must be 'onesided' or 'abs'")
     config = ExperimentConfig(
         copula=CopulaSpec(structure, values["rho"], values["shape"]),
         n=values["n"],
@@ -163,18 +163,25 @@ def build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
         truth_reps=values["truth"],
         master_seed=values["seed"],
         alpha_level=values["alpha"],
-        mode=mode,
-        output_path=values["out"],
+        mode=MaxMode(values["mode"]),
     )
     return config, values
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config, values = build_config(args)
-    result = run_experiment(config, jobs=values["jobs"])
-    emit_results(result.rows, values["format"], config.output_path)
+def _emit(values: dict, result: ExperimentResult) -> None:
+    """Write the rows in --format to --out, and the per-replicate KS values
+    to --figure-data when it is set."""
+    emit_results(result.rows, values["format"], values["out"])
     if values["figure_data"]:
         emit_figure_data(result.per_rep_ks, values["figure_data"])
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    config, values = build_config(args)
+    emit = functools.partial(_emit, values)
+    # Ctrl-C writes the completed replicates to --out; stdout gets nothing
+    result = run_experiment(config, jobs=values["jobs"], on_interrupt=emit if values["out"] else None)
+    emit(result)
     return 0
 
 
@@ -218,7 +225,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ValueError(f"cannot read input matrix {args.input!r}: {exc}") from exc
     known_mean = None
     if args.known_mean is not None:
-        parts = [float(v) for v in args.known_mean.split(",")]
+        try:
+            parts = [float(v) for v in args.known_mean.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--known-mean expects a number or a comma list of numbers, got {args.known_mean!r}"
+            ) from None
         known_mean = np.full(values.shape[1], parts[0]) if len(parts) == 1 else np.array(parts)
     data = DataMatrix(values=values, known_mean=known_mean)
     center = Centering.KNOWN_MEAN if args.center == "known" else Centering.SAMPLE_MEAN
@@ -261,22 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a bootstrap experiment")
     run.add_argument("--config", help="flat key = value config file")
     run.add_argument("--preset", choices=sorted(_PRESETS), help="desk or paper scale")
-    run.add_argument("--experiment", choices=["I", "II"])
-    run.add_argument("--rho", type=float)
-    run.add_argument("--shape", type=float, help="gamma shape parameter")
-    run.add_argument("--n", type=int)
-    run.add_argument("--p", type=int)
-    run.add_argument("--outer", type=int, help="number of dataset replicates")
-    run.add_argument("--truth", type=int, help="Monte Carlo size of the truth law")
-    run.add_argument("--breps", type=int, help="bootstrap replicates per dataset")
-    run.add_argument("--alpha", type=float)
-    run.add_argument("--mode", choices=["onesided", "abs"])
-    run.add_argument("--schemes", help="comma list: g,m,r,e,mix[:p0]")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--jobs", type=int, help="parallel workers over outer replicates")
-    run.add_argument("--format", choices=["csv", "json"])
-    run.add_argument("--out", help="results path (default stdout)")
-    run.add_argument("--figure-data", dest="figure_data", help="per-replicate KS CSV path")
+    for key, (kind, _, choices, doc) in _RUN_KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        run.add_argument(flag, dest=key, type=kind, choices=choices, help=doc)
     run.set_defaults(func=_cmd_run)
 
     check = sub.add_parser("check", help="numerical verification suites")

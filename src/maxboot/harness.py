@@ -9,11 +9,13 @@ worker count; aggregation sorts by replicate index before reducing.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +60,6 @@ class ExperimentConfig:
     master_seed: int
     alpha_level: float = 0.05
     mode: MaxMode = MaxMode.ONE_SIDED
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if min(self.outer_reps, self.truth_reps) < 1:
@@ -136,29 +137,26 @@ def _outer_block(
     return out
 
 
-def _run_blocks(fn, block_args: list, jobs: int, out: list) -> None:
-    """Evaluate blocks in order, appending each block's items to ``out``; on
-    an interrupt the items of the blocks completed so far stay there."""
+def _run_blocks(fn, blocks: list[range], jobs: int, out: list) -> None:
+    """Evaluate ``fn`` on each block in order, appending each block's items
+    to ``out``; on an interrupt the items of the blocks completed so far stay
+    there.  Pool workers ignore SIGINT and are terminated when the pool is
+    left, so an interrupt never waits on them."""
     if jobs == 1:
-        for args in block_args:
-            out.extend(fn(*args))
+        for block in blocks:
+            out.extend(fn(block))
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(fn, *args) for args in block_args]
-        try:
-            for future in futures:
-                out.extend(future.result())
-        except KeyboardInterrupt:
-            pool.shutdown(cancel_futures=True)
-            raise
+    with multiprocessing.Pool(jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+        for items in pool.imap(fn, blocks):
+            out.extend(items)
 
 
 def run_truth(config: ExperimentConfig, jobs: int = 1) -> EmpiricalDistribution:
     """Monte Carlo law of the true statistic over truth_reps fresh datasets."""
     logger.info("simulating truth law: %d replicates", config.truth_reps)
-    blocks = _blocks(config.truth_reps, jobs)
+    fn = functools.partial(_truth_block, config)
     stats: list[float] = []
-    _run_blocks(_truth_block, [(config, b) for b in blocks], jobs, stats)
+    _run_blocks(fn, _blocks(config.truth_reps, jobs), jobs, stats)
     return EmpiricalDistribution(np.asarray(stats))
 
 
@@ -192,24 +190,24 @@ def _aggregate(
     return ExperimentResult(rows=rows, per_rep_ks=per_rep_ks, per_rep_cover=per_rep_cover, truth=truth)
 
 
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, jobs: int = 1, on_interrupt=None) -> ExperimentResult:
     """Truth law plus outer_reps dataset replicates of every scheme's KS
     distance and coverage indicator, aggregated to one row per
     (scheme, metric).
 
-    On KeyboardInterrupt the rows for the replicates finished so far are
-    flushed to ``config.output_path`` (when set) before re-raising.
+    On KeyboardInterrupt, ``on_interrupt`` (when given) receives the result
+    of the replicates finished so far, and then the interrupt propagates.
     """
     truth = run_truth(config, jobs=jobs)
     logger.info("running %d outer replicates", config.outer_reps)
-    blocks = _blocks(config.outer_reps, jobs)
+    fn = functools.partial(_outer_block, config, truth.sample)
     per_rep: list = []
     try:
-        _run_blocks(_outer_block, [(config, truth.sample, b) for b in blocks], jobs, per_rep)
+        _run_blocks(fn, _blocks(config.outer_reps, jobs), jobs, per_rep)
     except KeyboardInterrupt:
-        if per_rep and config.output_path:
+        if per_rep and on_interrupt is not None:
             logger.warning("interrupted; flushing %d completed replicates", len(per_rep))
-            emit_results(_aggregate(config, per_rep, truth).rows, "csv", config.output_path)
+            on_interrupt(_aggregate(config, per_rep, truth))
         raise
     return _aggregate(config, per_rep, truth)
 

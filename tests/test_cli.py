@@ -1,12 +1,19 @@
+import contextlib
 import csv
 import json
+import os
+import re
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maxboot.cli import build_config, main
+from maxboot import harness
+from maxboot.cli import _RUN_KEYS, build_config, main
 from maxboot.datagen import Dependence
 from maxboot.stat_core import MaxMode
 
@@ -106,10 +113,41 @@ def test_config_file_bad_value_names_path_line_and_key(tmp_path):
     assert str(err.value) == f"{cfg}:2: key 'n' expects an integer, got 'abc'"
 
 
+@pytest.mark.parametrize(
+    "line, key", [("format = xml", "format"), ("mode = sideways", "mode"), ("experiment = III", "experiment")]
+)
+def test_config_file_bad_choice_fails_before_the_run(tmp_path, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(ValueError) as err:
+        build_config(parse_args("--config", str(cfg)))
+    assert str(err.value).startswith(f"{cfg}:1: key '{key}' ")
+
+
+def test_readme_config_keys_match_run_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config file", 1)[1].split("\n#", 1)[0]
+    listed = re.search(r"Keys match the long CLI flags: `([^`]*)`, plus `preset`", section)
+    assert listed is not None
+    assert [key.strip() for key in listed.group(1).split(",")] == list(_RUN_KEYS)
+
+
 def test_mixed_scheme_bad_p0_names_token(capsys):
     assert main(["run", "--schemes", "g,mix:abc"]) == 1
     err = capsys.readouterr().err
     assert "'mix:abc'" in err and "mix[:p0]" in err
+
+
+@pytest.mark.parametrize("token", ["mix:2", "mix:0"])
+def test_mixed_scheme_p0_out_of_range_names_token(capsys, token):
+    assert main(["run", "--schemes", f"g,{token}"]) == 1
+    err = capsys.readouterr().err
+    assert f"'{token}'" in err and "mix[:p0]" in err
+
+
+def test_mixed_scheme_keeps_breps_error(capsys):
+    assert main(["run", "--schemes", "mix", "--breps", "0"]) == 1
+    assert "b_reps must be at least 1" in capsys.readouterr().err
 
 
 def test_mixed_scheme_with_p0():
@@ -167,6 +205,66 @@ def test_run_json_output(tmp_path):
     assert {r["metric"] for r in parsed} == {"KS", "Coverage"}
 
 
+def test_interrupt_writes_chosen_format_and_figure_data(tmp_path, monkeypatch):
+    # 16 outer replicates at one job run as eight blocks of two; the second
+    # block is interrupted, so the flush holds exactly replicates 0 and 1
+    block = harness._outer_block
+    calls = []
+
+    def interrupted_block(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return block(*args)
+
+    argv = ["run", "--n", "16", "--p", "4", "--truth", "20", "--breps", "8", "--schemes", "m,e"]
+    flushed, flushed_fig = tmp_path / "partial.json", tmp_path / "partial_fig.csv"
+    monkeypatch.setattr(harness, "_outer_block", interrupted_block)
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--outer", "16", "--format", "json",
+              "--out", str(flushed), "--figure-data", str(flushed_fig)])
+
+    monkeypatch.setattr(harness, "_outer_block", block)
+    clean, clean_fig = tmp_path / "clean.json", tmp_path / "clean_fig.csv"
+    assert main([*argv, "--outer", "2", "--format", "json",
+                 "--out", str(clean), "--figure-data", str(clean_fig)]) == 0
+    assert flushed.read_bytes() == clean.read_bytes()
+    assert flushed_fig.read_bytes() == clean_fig.read_bytes()
+
+
+def test_second_interrupt_at_two_jobs_exits_with_the_flush(tmp_path):
+    # Ctrl-C reaches the whole process group; a second SIGINT to the main
+    # process must neither hang the run on its pool nor lose the flush
+    out = tmp_path / "rows.csv"
+    argv = ["-v", "run", "--p", "100", "--truth", "200", "--outer", "320",
+            "--breps", "200", "--jobs", "2", "--out", str(out)]
+    for _ in range(3):
+        out.unlink(missing_ok=True)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "maxboot.cli", *argv],
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            for line in proc.stderr:
+                if "outer replicates" in line:
+                    break
+            time.sleep(1.0)
+            os.killpg(proc.pid, signal.SIGINT)
+            time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=15) == -signal.SIGINT
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            proc.stderr.close()
+        with out.open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and all(0 < int(row["reps"]) < 320 for row in rows)
+
+
 def test_run_rejects_jobs_below_one(capsys):
     argv = ["run", "--n", "8", "--p", "2", "--outer", "2", "--truth", "4", "--breps", "4"]
     assert main([*argv, "--jobs", "0"]) == 1
@@ -209,6 +307,14 @@ def test_certify_subcommand(tmp_path):
     assert payload["certificates"]["empirical"]["M"] == pytest.approx(
         2.0 * payload["certificates"]["wild"]["M"], rel=1e-9
     )
+
+
+def test_certify_bad_known_mean_names_flag(tmp_path, capsys):
+    path = tmp_path / "matrix.csv"
+    np.savetxt(path, np.ones((4, 2)), delimiter=",")
+    assert main(["certify", "--input", str(path), "--known-mean", "abc"]) == 1
+    err = capsys.readouterr().err
+    assert "--known-mean" in err and "'abc'" in err
 
 
 def test_certify_missing_file():

@@ -134,7 +134,11 @@ def test_interrupt_flushes_completed_replicates(tmp_path, monkeypatch, caplog):
     flushed = tmp_path / "partial.csv"
     with caplog.at_level("WARNING", logger="maxboot.harness"):
         with pytest.raises(KeyboardInterrupt):
-            run_experiment(tiny_config(outer_reps=16, output_path=str(flushed)), jobs=1)
+            run_experiment(
+                tiny_config(outer_reps=16),
+                jobs=1,
+                on_interrupt=lambda result: emit_results(result.rows, "csv", str(flushed)),
+            )
     assert any("interrupted" in rec.message for rec in caplog.records)
 
     monkeypatch.setattr(harness, "_outer_block", block)
