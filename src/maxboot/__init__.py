@@ -18,10 +18,8 @@ from maxboot.datagen import (
     CopulaSpec,
     DataMatrix,
     Dependence,
-    gamma_cdf,
     gamma_quantile,
     sample_gaussian_copula,
-    standard_normal_cdf,
 )
 from maxboot.harness import (
     ExperimentConfig,

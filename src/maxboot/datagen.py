@@ -32,8 +32,6 @@ __all__ = [
     "DataMatrix",
     "sample_gaussian_copula",
     "gamma_quantile",
-    "gamma_cdf",
-    "standard_normal_cdf",
 ]
 
 
@@ -92,20 +90,8 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-def standard_normal_cdf(x):
-    """Phi(x) through scipy's ``ndtr``; exact to full double precision."""
-    return special.ndtr(np.asarray(x, dtype=np.float64))
-
-
-def gamma_cdf(x, shape_alpha: float):
-    """Regularized lower incomplete gamma P(shape_alpha, x) for unit scale."""
-    if shape_alpha <= 0.0:
-        raise ValueError("shape_alpha must be positive")
-    return special.gammainc(shape_alpha, x)
-
-
 def gamma_quantile(u, shape_alpha: float):
-    """Inverse of ``gamma_cdf``: the gamma(shape, 1) quantile function.
+    """The gamma(shape, 1) quantile function, inverse of ``special.gammainc``.
 
     ``gammaincinv`` for u <= 1/2 and ``gammainccinv`` on 1 - u above, for
     scalars or arrays in (0, 1).  Near u = 1 it is only as good as u: rounding

@@ -29,14 +29,16 @@ def run_cli(*argv):
 
 def test_cli_import_loads_no_heavy_scipy_and_no_table():
     # scipy.signal alone would add ~0.7 s and ~50 MB to every run's start-up;
-    # the transform table is built on first use, not at import
+    # the transform table and the BLAS thread lookup happen on first use, not
+    # at import
     code = (
-        "import sys, maxboot.cli; from maxboot import datagen; "
+        "import sys, maxboot.cli; from maxboot import _kernels, datagen; "
         "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.sparse') if m in sys.modules], "
-        "datagen._transform_table.cache_info().currsize)"
+        "datagen._transform_table.cache_info().currsize, "
+        "_kernels._blas_threads.cache_info().currsize)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.stdout.strip() == "[] 0", out.stderr
+    assert out.stdout.strip() == "[] 0 0", out.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from maxboot.stat_core import softmax_weights
+from maxboot import theorycheck
+from maxboot.cli import _check_reports
+from maxboot.stat_core import concentration_fn, softmax_weights
 from maxboot.theorycheck import (
     L1_BOUNDS,
     check_gaussian_anticoncentration,
@@ -172,6 +174,30 @@ def test_anticoncentration_single_coordinate_closed_form():
 def test_anticoncentration_vacuous_when_bound_exceeds_one():
     report = check_gaussian_anticoncentration(1, 1.0, 5.0, 10_000, seed(60))
     assert report.passed  # bound > 1 makes the inequality vacuous
+
+
+def test_anticoncentration_window_sup_is_never_below_the_old_grid(monkeypatch):
+    # the check used to scan 512 half-open windows (g, g + eps] over mean +- 4 sd;
+    # the points in such a window lie less than eps apart, so the window
+    # [x, x + eps) anchored at the lowest of them holds them all, and the
+    # exact sup the check takes now can only be larger
+    seen = []
+
+    def recording(dist, eps):
+        seen.append((dist.sample, eps, concentration_fn(dist, eps)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(theorycheck, "concentration_fn", recording)
+    reports = list(_check_reports("anticonc", 1, 100_000, 20250808))
+    assert len(reports) == len(seen) == 9
+    for report, (maxima, eps, sup) in zip(reports, seen):
+        center, spread = maxima.mean(), maxima.std()
+        grid = np.linspace(center - 4.0 * spread, center + 4.0 * spread + eps, 512)
+        counts = np.searchsorted(maxima, grid + eps, side="right") - np.searchsorted(
+            maxima, grid, side="right"
+        )
+        assert sup >= counts.max() / maxima.size
+        assert report.details.startswith(f"MC sup {sup:.5f} ")
 
 
 def test_anticoncentration_rejects_small_mc():
