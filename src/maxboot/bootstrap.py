@@ -42,6 +42,9 @@ logger = logging.getLogger(__name__)
 MAMMEN_VALUE_PLUS = (1.0 + math.sqrt(5.0)) / 2.0
 MAMMEN_VALUE_MINUS = (1.0 - math.sqrt(5.0)) / 2.0
 MAMMEN_PROB_PLUS = (math.sqrt(5.0) - 1.0) / (2.0 * math.sqrt(5.0))
+# two-point laws as (value if the draw fails, value if it succeeds)
+_MAMMEN_VALUES = np.array([MAMMEN_VALUE_MINUS, MAMMEN_VALUE_PLUS])
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -105,29 +108,6 @@ def multiplier_moments(kind: MultiplierKind) -> tuple[float, float, float]:
     return tuple(multiplier_moment(kind, m) for m in (1, 2, 3))
 
 
-def _draw_from(kind: MultiplierKind, n: int, rng: np.random.Generator) -> np.ndarray:
-    if kind.name == "gaussian":
-        return rng.standard_normal(n)
-    if kind.name == "rademacher":
-        return 2.0 * rng.integers(0, 2, n) - 1.0
-    if kind.name == "mammen":
-        return np.where(rng.random(n) < MAMMEN_PROB_PLUS, MAMMEN_VALUE_PLUS, MAMMEN_VALUE_MINUS)
-    # mixed: Bernoulli branch indicator, then both branch variables (fixed draw
-    # order keeps the stream layout independent of the branch outcomes)
-    a0, b0 = mixed_coefficients(kind.p0)
-    delta = rng.random(n) < kind.p0
-    z = rng.standard_normal(n)
-    w0 = np.where(rng.random(n) < MAMMEN_PROB_PLUS, MAMMEN_VALUE_PLUS, MAMMEN_VALUE_MINUS)
-    return np.where(delta, a0 * z, b0 * w0)
-
-
-def draw_multipliers(kind: MultiplierKind, n: int, seed: SeedSpec) -> np.ndarray:
-    """n i.i.d. multipliers from the law, deterministic given the seed."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _draw_from(kind, n, seed.rng())
-
-
 @dataclass(frozen=True)
 class BootstrapPlan:
     """One resampling scheme plus its replicate budget: a multiplier law for
@@ -177,6 +157,44 @@ def _centered_values(data: DataMatrix, plan: BootstrapPlan) -> np.ndarray:
     return data.values - data.values.mean(axis=0)
 
 
+def _bounded_integers(k: int, n: int, rngs: Iterable[np.random.Generator], b: int) -> np.ndarray:
+    """Row r holds ``rng.integers(0, k, n)`` of the r-th stream, 2 <= k < 2**31.
+
+    Each stream makes one ``random_raw`` fill of ceil(n/2) 64-bit words.  For
+    a range below 2**32, numpy draws each integer from one 32-bit half of a
+    raw word, low half first, and maps the half x to ``(x * k) >> 32``
+    (Lemire's multiply-shift).  It rejects x and draws again when
+    ``(x * k) mod 2**32 < 2**32 mod k``; a row where that happens is rewound
+    and drawn by ``integers`` itself.  The streams must start with no
+    buffered 32-bit half, as a fresh generator does.
+    """
+    words = np.empty((b, (n + 1) // 2), dtype="<u8")
+    # a little-endian view splits each word into (low, high) on any host
+    halves = words.view("<u4")[:, :n]
+    threshold = (1 << 32) % k
+    low, k32 = np.empty(n, dtype=np.uint32), np.uint32(k)
+    redrawn = {}
+    for r, rng in enumerate(rngs):
+        bitgen = rng.bit_generator
+        words[r] = bitgen.random_raw(words.shape[1])
+        if threshold and np.multiply(halves[r], k32, out=low).min() < threshold:
+            bitgen.advance((1 << 128) - words.shape[1])
+            redrawn[r] = rng.integers(0, k, n)
+    index = halves.astype(np.int64)
+    index *= k
+    index >>= 32
+    for r, row in redrawn.items():
+        index[r] = row
+    return index
+
+
+def _resample_counts(n: int, rngs: Iterable[np.random.Generator], b: int) -> np.ndarray:
+    """Row r counts how often each of n rows occurs in a resample of n."""
+    index = _bounded_integers(n, n, rngs, b)
+    index += np.arange(0, b * n, n)[:, None]
+    return np.bincount(index.ravel(), minlength=b * n).reshape(b, n)
+
+
 def _replicate_rows(
     plan: BootstrapPlan, n: int, rngs: Iterable[np.random.Generator], b: int
 ) -> np.ndarray:
@@ -185,14 +203,58 @@ def _replicate_rows(
     The wild schemes' weights are the multipliers.  The empirical bootstrap's
     are the multinomial counts of its resampled indices: summing the
     resampled centered rows is the same as weighting each row by its count.
+
+    Each stream makes one C-level fill into its row of a (b, n) block, and
+    the law is then applied to the whole block in place.  Gaussian rows are
+    ``standard_normal`` fills and Mammen rows threshold ``random`` fills.  The
+    mixed law fills the branch uniforms, the Gaussian branch and the Mammen
+    uniforms, in that order whatever the branches turn out to be, and
+    compares the Mammen uniforms with their threshold row by row, so one
+    extra float block is live.  Rademacher signs and resample indices are numpy's ``integers``
+    read from one ``random_raw`` fill (``_bounded_integers``): a sign is the
+    top bit of a 32-bit half, low half first, and an index is
+    ``(x * n) >> 32``.  The tests compare every scheme's rows with numpy's
+    per-row calls bit for bit, so a change to numpy's streams or maps fails
+    there.
     """
+    kind = plan.multiplier
+    if kind is None:
+        return _resample_counts(n, rngs, b).astype(np.float64)
+    if kind.name == "rademacher":
+        return np.take(_SIGNS, _bounded_integers(2, n, rngs, b), mode="clip")
     rows = np.empty((b, n))
+    if kind.name == "gaussian":
+        for r, rng in enumerate(rngs):
+            rng.standard_normal(out=rows[r])
+        return rows
+    # a two-value table lookup ("clip" skips the bounds check) is several
+    # times faster than a masked assignment, whose branch a random mask defeats
+    if kind.name == "mammen":
+        for r, rng in enumerate(rngs):
+            rng.random(out=rows[r])
+        plus = rows < MAMMEN_PROB_PLUS
+        return np.take(_MAMMEN_VALUES, plus.view(np.uint8), out=rows, mode="clip")
+    # mixed: the branch uniform, the Gaussian branch, then the Mammen uniform
+    a0, b0 = mixed_coefficients(kind.p0)
+    branch = np.empty((b, n))
+    uniform = np.empty(n)
+    plus = np.empty((b, n), dtype=bool)
     for r, rng in enumerate(rngs):
-        if plan.multiplier is None:
-            rows[r] = np.bincount(rng.integers(0, n, n, dtype=np.int64), minlength=n)
-        else:
-            rows[r] = _draw_from(plan.multiplier, n, rng)
+        rng.random(out=branch[r])
+        rng.standard_normal(out=rows[r])
+        np.less(rng.random(out=uniform), MAMMEN_PROB_PLUS, out=plus[r])
+    mammen = branch >= kind.p0
+    np.take(b0 * _MAMMEN_VALUES, plus.view(np.uint8), out=branch, mode="clip")
+    rows *= a0
+    np.copyto(rows, branch, where=mammen)
     return rows
+
+
+def draw_multipliers(kind: MultiplierKind, n: int, seed: SeedSpec) -> np.ndarray:
+    """n i.i.d. multipliers from the law, deterministic given the seed."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return _replicate_rows(BootstrapPlan.wild(kind, 1), n, [seed.rng()], 1)[0]
 
 
 def bootstrap_stat_once(

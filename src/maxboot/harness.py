@@ -137,18 +137,23 @@ def _outer_block(
     return out
 
 
-def _run_blocks(fn, blocks: list[range], jobs: int, out: list) -> None:
+def _run_blocks(fn, blocks: list[range], jobs: int, out: list, what: str) -> None:
     """Evaluate ``fn`` on each block in order, appending each block's items
-    to ``out``; on an interrupt the items of the blocks completed so far stay
-    there.  Pool workers ignore SIGINT and are terminated when the pool is
-    left, so an interrupt never waits on them."""
+    to ``out`` and logging how many of ``what`` replicates are done; on an
+    interrupt the items of the blocks completed so far stay there.  Pool
+    workers ignore SIGINT and are terminated when the pool is left, so an
+    interrupt never waits on them."""
+
+    def collect(results) -> None:
+        for items in results:
+            out.extend(items)
+            logger.info("%s replicates done: %d of %d", what, len(out), blocks[-1].stop)
+
     if jobs == 1:
-        for block in blocks:
-            out.extend(fn(block))
+        collect(map(fn, blocks))
         return
     with multiprocessing.Pool(jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-        for items in pool.imap(fn, blocks):
-            out.extend(items)
+        collect(pool.imap(fn, blocks))
 
 
 def run_truth(config: ExperimentConfig, jobs: int = 1) -> EmpiricalDistribution:
@@ -156,7 +161,7 @@ def run_truth(config: ExperimentConfig, jobs: int = 1) -> EmpiricalDistribution:
     logger.info("simulating truth law: %d replicates", config.truth_reps)
     fn = functools.partial(_truth_block, config)
     stats: list[float] = []
-    _run_blocks(fn, _blocks(config.truth_reps, jobs), jobs, stats)
+    _run_blocks(fn, _blocks(config.truth_reps, jobs), jobs, stats, "truth")
     return EmpiricalDistribution(np.asarray(stats))
 
 
@@ -203,7 +208,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, on_interrupt=None) -
     fn = functools.partial(_outer_block, config, truth.sample)
     per_rep: list = []
     try:
-        _run_blocks(fn, _blocks(config.outer_reps, jobs), jobs, per_rep)
+        _run_blocks(fn, _blocks(config.outer_reps, jobs), jobs, per_rep, "outer")
     except KeyboardInterrupt:
         if per_rep and on_interrupt is not None:
             logger.warning("interrupted; flushing %d completed replicates", len(per_rep))

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from maxboot.bootstrap import (
+    MAMMEN_PROB_PLUS,
+    MAMMEN_VALUE_MINUS,
+    MAMMEN_VALUE_PLUS,
+    BootstrapPlan,
+    mixed_coefficients,
+)
 from maxboot.rng import SeedSpec
 
 
@@ -12,3 +19,22 @@ def rng():
 def seed(*keys: int) -> SeedSpec:
     """Shorthand for a fixed test stream."""
     return SeedSpec(987654321, 0).child(*keys)
+
+
+def oracle_row(plan: BootstrapPlan, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One replicate's weight row from numpy's public per-row draws: the
+    reference that the block fill of ``_replicate_rows`` must match bit for bit."""
+    kind = plan.multiplier
+    if kind is None:
+        return np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
+    if kind.name == "gaussian":
+        return rng.standard_normal(n)
+    if kind.name == "rademacher":
+        return 2.0 * rng.integers(0, 2, n) - 1.0
+    if kind.name == "mammen":
+        return np.where(rng.random(n) < MAMMEN_PROB_PLUS, MAMMEN_VALUE_PLUS, MAMMEN_VALUE_MINUS)
+    a0, b0 = mixed_coefficients(kind.p0)
+    delta = rng.random(n) < kind.p0
+    z = rng.standard_normal(n)
+    w0 = np.where(rng.random(n) < MAMMEN_PROB_PLUS, MAMMEN_VALUE_PLUS, MAMMEN_VALUE_MINUS)
+    return np.where(delta, a0 * z, b0 * w0)

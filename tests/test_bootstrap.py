@@ -12,6 +12,8 @@ from maxboot.bootstrap import (
     MAMMEN_VALUE_PLUS,
     RADEMACHER,
     BootstrapPlan,
+    _bounded_integers,
+    _replicate_rows,
     bootstrap_distribution,
     bootstrap_stat_once,
     draw_multipliers,
@@ -21,9 +23,18 @@ from maxboot.bootstrap import (
     multiplier_moments,
 )
 from maxboot.datagen import DataMatrix
+from maxboot.rng import SeedSpec
 from maxboot.stat_core import MaxMode
 
-from conftest import seed
+from conftest import oracle_row, seed
+
+ALL_PLANS = (
+    BootstrapPlan.wild(GAUSSIAN),
+    BootstrapPlan.wild(MAMMEN),
+    BootstrapPlan.wild(RADEMACHER),
+    BootstrapPlan.empirical(),
+    BootstrapPlan.mixed_wild(0.5),
+)
 
 
 def mammen_moment(k: int) -> float:
@@ -133,6 +144,72 @@ def test_multiplier_kind_validation():
         MultiplierKind("mixed", p0=1.0)
     with pytest.raises(ValueError):
         MultiplierKind("gaussian", p0=0.5)
+
+
+# ---------------------------------------------------------------------------
+# weight rows
+# ---------------------------------------------------------------------------
+
+
+def redrawing_streams(n: int, spec: SeedSpec, b: int) -> int:
+    """How many of the streams spec.child(0..b-1) make numpy's integers(0, n, n)
+    reject a 32-bit draw: Lemire's rule on the halves of the raw words, low
+    half first, split arithmetically."""
+    count = 0
+    for r in range(b):
+        words = spec.child(r).rng().bit_generator.random_raw((n + 1) // 2)
+        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()[:n]
+        count += bool(np.any((halves * np.uint64(n)) & 0xFFFFFFFF < (1 << 32) % n))
+    return count
+
+
+@pytest.mark.parametrize("b", [1, 65, 300])
+@pytest.mark.parametrize("n", [2, 3, 57, 200, 20001])
+def test_replicate_rows_equal_numpy_per_row_draws(n, b):
+    spec = SeedSpec(7).child(2, n)
+    if n == 20001 and b > 40:
+        # without rows that numpy redraws, the rewind path would go untested
+        assert redrawing_streams(n, spec, 40) == 2
+    for plan in ALL_PLANS:
+        rows = _replicate_rows(plan, n, spec.child_rngs(b), b)
+        for r in range(b):
+            expect = oracle_row(plan, n, spec.child(r).rng())
+            assert rows[r].tobytes() == expect.tobytes(), (plan.name, r)
+
+
+class RawWords:
+    """A stream that serves fixed raw words and records a rewind."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.bit_generator = self
+        self.rewound_by = None
+
+    def random_raw(self, size):
+        return self.words[:size]
+
+    def advance(self, delta):
+        self.rewound_by = delta
+
+    def integers(self, low, high, size):
+        return np.full(size, -1)
+
+
+def test_bounded_integers_redraw_exactly_below_the_threshold():
+    # halves 5, x, 9, where (x * k) mod 2**32 lands on either side of the
+    # threshold 2**32 mod k
+    k = 20001
+    threshold = (1 << 32) % k
+    for low, redrawn in ((threshold - 1, True), (threshold, False)):
+        x = low * pow(k, -1, 1 << 32) % (1 << 32)
+        stream = RawWords([x << 32 | 5, 9])
+        (row,) = _bounded_integers(k, 3, [stream], 1)
+        if redrawn:
+            assert stream.rewound_by == (1 << 128) - 2
+            assert row.tolist() == [-1, -1, -1]
+        else:
+            assert stream.rewound_by is None
+            assert row.tolist() == [(5 * k) >> 32, (x * k) >> 32, (9 * k) >> 32]
 
 
 # ---------------------------------------------------------------------------

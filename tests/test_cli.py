@@ -249,10 +249,10 @@ def test_second_interrupt_at_two_jobs_exits_with_the_flush(tmp_path):
             start_new_session=True,
         )
         try:
+            # interrupt as soon as a block has completed, so there is something to flush
             for line in proc.stderr:
-                if "outer replicates" in line:
+                if "outer replicates done" in line:
                     break
-            time.sleep(1.0)
             os.killpg(proc.pid, signal.SIGINT)
             time.sleep(0.05)
             proc.send_signal(signal.SIGINT)

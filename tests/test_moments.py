@@ -15,7 +15,7 @@ from maxboot.moments import (
     truncate_centered,
 )
 
-from conftest import seed
+from conftest import oracle_row, seed
 
 
 def sample_tensor_max(values: np.ndarray, order: int) -> float:
@@ -260,7 +260,6 @@ def test_moment_tensor_mc_draws_replicate_r_from_child_r(plan, at_known_mean):
     # a loop over seed.child(r).rng() is the reference; 4100 replicates cross
     # the 4096-replicate chunk boundary.  Only the mixed wild bootstrap centers
     # at the known mean; the others subtract the sample mean.
-    from maxboot.bootstrap import _draw_from
     from maxboot.moments import bootstrap_moment_tensor_mc
 
     values = np.random.default_rng(5).gamma(1.0, 1.0, (6, 2))
@@ -269,11 +268,9 @@ def test_moment_tensor_mc_draws_replicate_r_from_child_r(plan, at_known_mean):
     b, n, s = 4100, 6, seed(41)
     reps = []
     for r in range(b):
-        rng = s.child(r).rng()
-        if plan.multiplier is None:
-            w = np.bincount(rng.integers(0, n, n, dtype=np.int64), minlength=n)
-        else:
-            w = _draw_from(plan.multiplier, n, rng) ** 2
+        w = oracle_row(plan, n, s.child(r).rng())
+        if plan.multiplier is not None:
+            w = w**2
         reps.append(np.einsum("i,ia,ib->ab", w, xc, xc) / n)
     reps = np.array(reps)
     mean, se = bootstrap_moment_tensor_mc(data, plan, 2, b, s)
