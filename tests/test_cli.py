@@ -29,16 +29,20 @@ def run_cli(*argv):
 
 def test_cli_import_loads_no_heavy_scipy_and_no_table():
     # scipy.signal alone would add ~0.7 s and ~50 MB to every run's start-up;
-    # the transform table and the BLAS thread lookup happen on first use, not
-    # at import
+    # the transform table, the BLAS thread lookup and the PCG64 layout check
+    # happen on first use, not at import, and the first stream walk imports
+    # no module
     code = (
-        "import sys, maxboot.cli; from maxboot import _kernels, datagen; "
+        "import sys, maxboot.cli; from maxboot import _kernels, datagen, rng; "
         "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.sparse') if m in sys.modules], "
         "datagen._transform_table.cache_info().currsize, "
-        "_kernels._blas_threads.cache_info().currsize)"
+        "_kernels._blas_threads.cache_info().currsize, "
+        "rng._state_write_ok.cache_info().currsize); "
+        "before = set(sys.modules); list(rng.SeedSpec(1).child_rngs(2)); "
+        "print(sorted(set(sys.modules) - before))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.stdout.strip() == "[] 0 0", out.stderr
+    assert out.stdout.split("\n")[:2] == ["[] 0 0 0", "[]"], out.stderr
 
 
 # ---------------------------------------------------------------------------

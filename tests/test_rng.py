@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from maxboot import rng
 from maxboot.bootstrap import GAUSSIAN, MAMMEN, BootstrapPlan
 from maxboot.datagen import CopulaSpec, Dependence
 from maxboot.harness import ExperimentConfig, run_experiment
@@ -20,14 +23,23 @@ SPECS = [
 ]
 
 
+def spec_id(spec: SeedSpec) -> str:
+    return f"{spec.master_seed}-{spec.stream_index}-{len(spec.path)}"
+
+
 def state_of(gen: np.random.Generator) -> tuple[int, int]:
     st = gen.bit_generator.state
     return st["state"]["state"], st["state"]["inc"]
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.master_seed}-{s.stream_index}-{len(s.path)}")
-@pytest.mark.parametrize("count", [1, 600])
-def test_child_rngs_match_child_rng(spec, count):
+@pytest.fixture
+def dict_fallback(monkeypatch):
+    """Seat every stream through the ``state`` dict, as on a numpy whose
+    PCG64 layout the check declines."""
+    monkeypatch.setattr(rng, "_state_write_ok", lambda: False)
+
+
+def check_match_child_rng(spec, count):
     seen = 0
     for r, gen in enumerate(spec.child_rngs(count)):
         ref = spec.child(r).rng()
@@ -41,16 +53,17 @@ def test_child_rngs_match_child_rng(spec, count):
     assert seen == count
 
 
-def test_child_rngs_resets_state_left_by_odd_32_bit_draws():
+def check_reset_after_odd_32_bit_draws():
     # an odd count of 32-bit draws leaves a buffered half word in the bit generator
     spec = SeedSpec(42, 0, (1,))
     for r, gen in enumerate(spec.child_rngs(3)):
         ref = spec.child(r).rng()
+        assert gen.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(gen.integers(0, 2, 3), ref.integers(0, 2, 3))
         assert gen.random() == ref.random()
 
 
-def test_child_rngs_crosses_derivation_batches():
+def check_batch_crossing():
     spec = SeedSpec(3, 1, (4,))
     picked = {0, 4095, 4096, 4097, 8999}
     for r, gen in enumerate(spec.child_rngs(9000)):
@@ -58,10 +71,117 @@ def test_child_rngs_crosses_derivation_batches():
             assert gen.bit_generator.state == spec.child(r).rng().bit_generator.state
 
 
+# each check runs twice: on the seating the layout check selects (the memory
+# write wherever numpy has a native 128-bit PCG64), and on the dict fallback
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+@pytest.mark.parametrize("count", [1, 600])
+def test_child_rngs_match_child_rng(spec, count):
+    check_match_child_rng(spec, count)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+@pytest.mark.parametrize("count", [1, 600])
+def test_dict_fallback_child_rngs_match_child_rng(dict_fallback, spec, count):
+    check_match_child_rng(spec, count)
+
+
+def test_child_rngs_resets_state_left_by_odd_32_bit_draws():
+    check_reset_after_odd_32_bit_draws()
+
+
+def test_dict_fallback_resets_state_left_by_odd_32_bit_draws(dict_fallback):
+    check_reset_after_odd_32_bit_draws()
+
+
+def test_child_rngs_crosses_derivation_batches():
+    check_batch_crossing()
+
+
+def test_dict_fallback_crosses_derivation_batches(dict_fallback):
+    check_batch_crossing()
+
+
 def test_child_rngs_count_bounds():
     assert list(SeedSpec(1).child_rngs(0)) == []
+    # checked when called, not when first iterated
     with pytest.raises(ValueError):
-        list(SeedSpec(1).child_rngs(-1))
+        SeedSpec(1).child_rngs(-1)
+    with pytest.raises(ValueError):
+        SeedSpec(1).child_rngs(2**32 + 1)
+
+
+# 128-bit words as (low, high) uint64 pairs, against Python ints
+
+EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def word_pairs():
+    """Every combination of edge words for (a low, a high, b low, b high),
+    then seeded random words."""
+    rows = list(itertools.product(EDGE_WORDS, repeat=4))
+    rows += np.random.default_rng(8).integers(0, 2**64, (500, 4), dtype=np.uint64).tolist()
+    cols = np.array(rows, dtype=np.uint64).T
+    return (cols[0], cols[1]), (cols[2], cols[3])
+
+
+def as_ints(pair):
+    return [int(lo) | int(hi) << 64 for lo, hi in zip(*pair)]
+
+
+def test_add128_matches_python_ints():
+    a, b = word_pairs()
+    ai, bi = as_ints(a), as_ints(b)
+    assert as_ints(rng._add128(a, b)) == [(x + y) % 2**128 for x, y in zip(ai, bi)]
+    # the low-word carry: (2**64 - 1) + 1 moves one into the high word
+    one, top = np.array([1], dtype=np.uint64), np.array([2**64 - 1], dtype=np.uint64)
+    zero = np.zeros(1, dtype=np.uint64)
+    assert as_ints(rng._add128((top, zero), (one, zero))) == [2**64]
+
+
+def test_mulhi64_matches_python_ints():
+    a, b = word_pairs()
+    got = rng._mulhi64(a[0], b[0]).tolist()
+    assert got == [(int(x) * int(y)) >> 64 for x, y in zip(a[0], b[0])]
+    # the middle limbs' carry reaches the high word only through mid >> 32
+    top = np.array([2**64 - 1], dtype=np.uint64)
+    assert rng._mulhi64(top, np.uint64(2**64 - 1)).tolist() == [2**64 - 2]
+
+
+def test_mul128_matches_python_ints():
+    a, b = word_pairs()
+    ai, bi = as_ints(a), as_ints(b)
+    assert as_ints(rng._mul128(a, b)) == [(x * y) % 2**128 for x, y in zip(ai, bi)]
+    lo, hi = rng._PCG_MULT
+    mult = int(lo) | int(hi) << 64
+    assert as_ints(rng._mul128(a, rng._PCG_MULT)) == [(x * mult) % 2**128 for x in ai]
+
+
+def test_state_rows_match_seeded_pcg64():
+    spec = SeedSpec(2**40 + 3, 7, (9,))
+    prefix = [3, 2**8, 7, 9]  # the 32-bit words of 2**40 + 3, then 7 and 9
+    entropy = [np.full(4, w, dtype=np.uint32) for w in prefix] + [np.arange(4, dtype=np.uint32)]
+    rows = rng._pcg64_states(entropy)
+    assert rows.shape == (4, 4) and rows.dtype == np.uint64 and rows.flags.c_contiguous
+    for r, (state_lo, state_hi, inc_lo, inc_hi) in enumerate(rows.tolist()):
+        want = spec.child(r).rng().bit_generator.state["state"]
+        assert want == {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
+
+
+@pytest.mark.parametrize("word", range(6))
+def test_state_write_declined_when_a_word_reads_back_wrong(monkeypatch, word):
+    # unperturbed, a fresh check gives the cached answer
+    assert rng._state_write_ok.__wrapped__() is rng._state_write_ok()
+    read = rng._read_seat
+
+    def one_bit_off(bitgen):
+        got = list(read(bitgen))
+        got[word] ^= 1
+        return tuple(got)
+
+    monkeypatch.setattr(rng, "_read_seat", one_bit_off)
+    assert rng._state_write_ok.__wrapped__() is False
 
 
 def test_short_paths_ending_in_zeros_share_a_stream():
