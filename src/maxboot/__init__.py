@@ -38,14 +38,12 @@ from maxboot.moments import (
     estimate_moment_summary,
     moment_tensor_diff_max,
     rate_certificate,
-    truncate_centered,
 )
 from maxboot.rng import SeedSpec
 from maxboot.stat_core import (
     EmpiricalDistribution,
     MaxMode,
     concentration_fn,
-    levy_prokhorov_pre,
     max_statistic,
     smooth_max,
     softmax_weights,

@@ -207,6 +207,8 @@ def _check_reports(suite: str, trials: int, reps: int, seed: int):
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.suite in ("all", "anticonc") and args.reps < theorycheck._MIN_MC_REPS:
+        raise ValueError(f"--reps must be at least {theorycheck._MIN_MC_REPS} for the anticonc suite")
     failed = 0
     for report in _check_reports(args.suite, args.trials, args.reps, args.seed):
         print(json.dumps(dataclasses.asdict(report)))
@@ -219,6 +221,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    if args.center == "known" and args.known_mean is None:
+        raise ValueError("--center known requires --known-mean")
     try:
         values = np.loadtxt(args.input, delimiter=",", ndmin=2)
     except OSError as exc:
@@ -239,15 +243,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "n": data.n,
         "p": data.p,
         "centering": center.value,
-        "summary": {
-            "M2": summary.M2,
-            "M4": summary.M4,
-            "M6": summary.M6,
-            "sigma_lower": summary.sigma_lower,
-            "Mcal4": summary.Mcal4,
-            "Mcal_m1": summary.Mcal_m1,
-            "Mcal_m2": summary.Mcal_m2,
-        },
+        "summary": dataclasses.asdict(summary),
         "certificates": {},
     }
     for scheme in ("empirical", "wild"):

@@ -51,8 +51,8 @@ class CopulaSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if not self.shape_alpha > 0.0:
-            raise ValueError(f"shape_alpha must be positive, got {self.shape_alpha}")
+        if not 0.0 < self.shape_alpha < math.inf:
+            raise ValueError(f"shape_alpha must be positive and finite, got {self.shape_alpha}")
 
 
 @dataclass(frozen=True)

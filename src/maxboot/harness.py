@@ -96,7 +96,6 @@ class ExperimentResult:
     rows: list[ResultRow]
     per_rep_ks: dict[str, np.ndarray]
     per_rep_cover: dict[str, np.ndarray]
-    truth: EmpiricalDistribution
 
 
 def _blocks(total: int, jobs: int) -> list[range]:
@@ -165,9 +164,7 @@ def run_truth(config: ExperimentConfig, jobs: int = 1) -> EmpiricalDistribution:
     return EmpiricalDistribution(np.asarray(stats))
 
 
-def _aggregate(
-    config: ExperimentConfig, per_rep: list, truth: EmpiricalDistribution
-) -> ExperimentResult:
+def _aggregate(config: ExperimentConfig, per_rep: list) -> ExperimentResult:
     names = [plan.name for plan in config.schemes]
     per_rep_ks = {}
     per_rep_cover = {}
@@ -192,7 +189,7 @@ def _aggregate(
                 )
             )
     rows.sort(key=lambda row: (row.experiment, row.scheme, row.metric))
-    return ExperimentResult(rows=rows, per_rep_ks=per_rep_ks, per_rep_cover=per_rep_cover, truth=truth)
+    return ExperimentResult(rows=rows, per_rep_ks=per_rep_ks, per_rep_cover=per_rep_cover)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1, on_interrupt=None) -> ExperimentResult:
@@ -212,9 +209,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, on_interrupt=None) -
     except KeyboardInterrupt:
         if per_rep and on_interrupt is not None:
             logger.warning("interrupted; flushing %d completed replicates", len(per_rep))
-            on_interrupt(_aggregate(config, per_rep, truth))
+            on_interrupt(_aggregate(config, per_rep))
         raise
-    return _aggregate(config, per_rep, truth)
+    return _aggregate(config, per_rep)
 
 
 _COLUMNS = ("experiment", "rho", "shape_alpha", "scheme", "metric", "mean", "std", "reps")

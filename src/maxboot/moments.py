@@ -1,5 +1,5 @@
-"""Plug-in moment functionals, truncation, rate certificates, and exact
-bootstrap moment-tensor diagnostics at small dimension.
+"""Plug-in moment functionals, rate certificates, and exact bootstrap
+moment-tensor diagnostics at small dimension.
 
 The population functionals replace expectations by empirical averages over
 rows.  Note that on a single dataset with i.i.d. rows the plug-ins of the
@@ -33,7 +33,6 @@ __all__ = [
     "RateCertificate",
     "estimate_moment_summary",
     "rate_certificate",
-    "truncate_centered",
     "moment_tensor_diff_max",
     "bootstrap_moment_tensor_mc",
 ]
@@ -107,13 +106,7 @@ def estimate_moment_summary(data: DataMatrix, center: Centering) -> MomentSummar
     )
 
 
-def rate_certificate(
-    summary: MomentSummary,
-    n: int,
-    p: int,
-    scheme: str,
-    b_n: float | None = None,
-) -> RateCertificate:
+def rate_certificate(summary: MomentSummary, n: int, p: int, scheme: str) -> RateCertificate:
     """gamma*_n = min of the tail branch and the moment branch.
 
     Tail branch: ((log p)^2 (log np)^3 / n)^(1/6) * M / sigma_lower with M at
@@ -140,9 +133,8 @@ def rate_certificate(
     tail = (log_p**2 * log_np**3 / n) ** (1.0 / 6.0) * M / sig
     moment = (log_np**5 / n) ** (1.0 / 6.0) * (mcal / sig) ** (2.0 / 3.0)
 
-    if b_n is None:
-        t_n = (M / sig) / (m4 / sig) ** (2.0 / 3.0)
-        b_n = (math.sqrt(n) / (m4**2 * sig * log_p)) ** (1.0 / 3.0) / t_n
+    t_n = (M / sig) / (m4 / sig) ** (2.0 / 3.0)
+    b_n = (math.sqrt(n) / (m4**2 * sig * log_p)) ** (1.0 / 3.0) / t_n
     kappa_n4 = b_n**4 * log_p**3 * m4**4 / n
 
     if tail <= moment:
@@ -161,25 +153,6 @@ def rate_certificate(
         tail_value=tail,
         moment_value=moment,
     )
-
-
-def truncate_centered(data: DataMatrix, a_n: float, center: Centering) -> DataMatrix:
-    """Zero out entries with |x| > a_n, then center the truncated columns.
-
-    SampleMean centering subtracts the empirical mean of each truncated
-    column, so output columns average to exactly zero; KnownMean subtracts
-    the data's known mean vector.  The result carries known_mean = 0.
-    """
-    if a_n <= 0.0:
-        raise ValueError("a_n must be positive")
-    kept = np.where(np.abs(data.values) <= a_n, data.values, 0.0)
-    if center is Centering.KNOWN_MEAN:
-        if data.known_mean is None:
-            raise ValueError("KnownMean centering requires data.known_mean")
-        c = data.known_mean
-    else:
-        c = kept.mean(axis=0)
-    return DataMatrix(values=kept - c, known_mean=np.zeros(data.p))
 
 
 def _tensor_guard(order: int, p: int) -> None:

@@ -2,9 +2,9 @@
 quantiles, and distance / concentration functionals on step CDFs.
 
 All distribution-level quantities are computed exactly for step functions:
-supremum evaluations run over pooled sample points (plus shifted copies
-where a shift is involved), which is sufficient because step CDFs only
-change value there.
+supremum evaluations run over pooled sample points, or over windows anchored
+at sample points, which is sufficient because step CDFs only change value
+there.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "softmax_weights",
     "upper_quantile",
     "two_sample_ks",
-    "levy_prokhorov_pre",
     "concentration_fn",
 ]
 
@@ -59,10 +58,6 @@ class EmpiricalDistribution:
     def cdf(self, t):
         """P{X <= t}, right-continuous."""
         return np.searchsorted(self.sample, t, side="right") / self.size
-
-    def cdf_left(self, t):
-        """Left limit P{X < t}."""
-        return np.searchsorted(self.sample, t, side="left") / self.size
 
 
 def max_statistic(data: DataMatrix, center: np.ndarray, mode: MaxMode) -> float:
@@ -123,22 +118,6 @@ def two_sample_ks(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:
     """
     pooled = np.concatenate([a.sample, b.sample])
     return float(np.abs(a.cdf(pooled) - b.cdf(pooled)).max())
-
-
-def levy_prokhorov_pre(a: EmpiricalDistribution, b: EmpiricalDistribution, eps: float) -> float:
-    """One-sided-interval Levy-Prokhorov pre-distance eta(eps).
-
-    sup_t max[F_a(t - eps) - F_b(t^-), F_b(t - eps) - F_a(t^-), 0], taken
-    over pooled sample points, the points shifted by eps, and midpoints
-    (exact for step CDFs).
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    pooled = np.unique(np.concatenate([a.sample, b.sample]))
-    grid = np.concatenate([pooled, pooled + eps, (pooled[:-1] + pooled[1:]) / 2.0])
-    gap_ab = np.max(a.cdf(grid - eps) - b.cdf_left(grid))
-    gap_ba = np.max(b.cdf(grid - eps) - a.cdf_left(grid))
-    return float(max(gap_ab, gap_ba, 0.0))
 
 
 def concentration_fn(dist: EmpiricalDistribution, eps: float) -> float:

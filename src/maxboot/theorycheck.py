@@ -38,6 +38,9 @@ L1_BOUNDS = {1: 1.0, 2: 2.0, 3: 6.0, 4: 26.0}
 
 _MAX_TENSOR_P = 16
 
+# fewest Monte Carlo maxima the anti-concentration check accepts
+_MIN_MC_REPS = 10_000
+
 
 @dataclass(frozen=True)
 class DerivativeTensor:
@@ -124,9 +127,7 @@ def _fd_step(order: int) -> float:
     return 2.0 * eps ** (1.0 / (order + 2))
 
 
-def fd_smooth_max_tensor(
-    z: np.ndarray, beta: float, order: int, step: float | None = None
-) -> np.ndarray:
+def fd_smooth_max_tensor(z: np.ndarray, beta: float, order: int) -> np.ndarray:
     """Finite-difference estimate of the order-``order`` derivative tensor.
 
     Nested central differences evaluated in extended precision; serves as
@@ -136,7 +137,7 @@ def fd_smooth_max_tensor(
     p = z.size
     if order not in (1, 2, 3, 4):
         raise ValueError("order must be 1, 2, 3 or 4")
-    h = np.longdouble(step if step is not None else _fd_step(order))
+    h = np.longdouble(_fd_step(order))
     zl = z.astype(np.longdouble)
     beta_l = np.longdouble(beta)
     cache: dict[tuple[int, ...], np.longdouble] = {}
@@ -321,28 +322,20 @@ def check_gaussian_anticoncentration(
     eps: float,
     mc_reps: int,
     seed: SeedSpec,
-    mus: np.ndarray | None = None,
-    sigmas: np.ndarray | None = None,
 ) -> CheckReport:
     """Interval mass of a Gaussian maximum versus the closed-form bound
     (eps/sigma) (4 + sqrt(2 log(p sigma / eps))).
 
-    Simulates independent N(mu_j, sigma_j^2) coordinates (defaults: mu = 0,
-    sigma = sigma_lower), takes the exact sup of the sample's mass over open
-    windows of width eps (``stat_core.concentration_fn``), and requires that
-    this Monte Carlo sup plus four standard errors stay below the bound.  The
-    check is vacuous once the bound exceeds one.
+    Simulates independent N(0, sigma_lower^2) coordinates, takes the exact sup
+    of the sample's mass over open windows of width eps
+    (``stat_core.concentration_fn``), and requires that this Monte Carlo sup
+    plus four standard errors stay below the bound.  The check is vacuous
+    once the bound exceeds one.
     """
-    if mc_reps < 10_000:
-        raise ValueError("mc_reps must be at least 10^4")
+    if mc_reps < _MIN_MC_REPS:
+        raise ValueError(f"mc_reps must be at least {_MIN_MC_REPS}")
     if sigma_lower <= 0.0 or eps <= 0.0:
         raise ValueError("sigma_lower and eps must be positive")
-    mus = np.zeros(p) if mus is None else np.asarray(mus, dtype=np.float64)
-    sigmas = np.full(p, sigma_lower) if sigmas is None else np.asarray(sigmas, dtype=np.float64)
-    if mus.shape != (p,) or sigmas.shape != (p,):
-        raise ValueError("mus and sigmas must have length p")
-    if np.any(sigmas < sigma_lower):
-        raise ValueError("all sigmas must be at least sigma_lower")
 
     rng = seed.rng()
     maxima = np.empty(mc_reps)
@@ -350,7 +343,7 @@ def check_gaussian_anticoncentration(
     done = 0
     while done < mc_reps:
         m = min(chunk, mc_reps - done)
-        maxima[done : done + m] = (mus + sigmas * rng.standard_normal((m, p))).max(axis=1)
+        maxima[done : done + m] = (sigma_lower * rng.standard_normal((m, p))).max(axis=1)
         done += m
     sup_hat = concentration_fn(EmpiricalDistribution(maxima), eps)
     se = math.sqrt(sup_hat * (1.0 - sup_hat) / mc_reps)

@@ -156,6 +156,22 @@ def test_mixed_scheme_keeps_breps_error(capsys):
     assert "b_reps must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_non_finite_shape_fails_before_the_run(tmp_path, monkeypatch, capsys, source):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("maxboot.cli.run_experiment", no_run)
+    if source == "flag":
+        argv = ["run", "--shape", "inf"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shape = inf\n")
+        argv = ["run", "--config", str(cfg)]
+    assert main(argv) == 1
+    assert "shape_alpha must be positive and finite, got inf" in capsys.readouterr().err
+
+
 def test_mixed_scheme_with_p0():
     config, _ = build_config(parse_args("--schemes", "mix:0.3,e"))
     assert config.schemes[0].multiplier.p0 == 0.3
@@ -292,6 +308,14 @@ def test_check_subcommand_json_lines():
     assert all(line["passed"] for line in lines)
 
 
+@pytest.mark.parametrize("suite", ["all", "anticonc"])
+def test_check_small_reps_fails_before_any_suite(capsys, suite):
+    assert main(["check", "--suite", suite, "--reps", "500"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --reps must be at least 10000 for the anticonc suite\n"
+
+
 def test_check_smoothmax_suite_quick():
     proc = run_cli("check", "--suite", "smoothmax", "--trials", "300", "--seed", "2")
     assert proc.returncode == 0
@@ -321,6 +345,24 @@ def test_certify_bad_known_mean_names_flag(tmp_path, capsys):
     assert main(["certify", "--input", str(path), "--known-mean", "abc"]) == 1
     err = capsys.readouterr().err
     assert "--known-mean" in err and "'abc'" in err
+
+
+def test_certify_known_center_without_known_mean_names_flag(tmp_path, capsys):
+    path = tmp_path / "matrix.csv"
+    np.savetxt(path, np.ones((4, 2)), delimiter=",")
+    assert main(["certify", "--input", str(path), "--center", "known"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --center known requires --known-mean\n"
+
+
+def test_certify_summary_keys_follow_moment_summary_fields(tmp_path, capsys):
+    path = tmp_path / "matrix.csv"
+    np.savetxt(path, np.random.default_rng(3).gamma(2.0, 1.0, (40, 6)), delimiter=",")
+    assert main(["certify", "--input", str(path)]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert list(summary) == ["M2", "M4", "M6", "sigma_lower", "Mcal4", "Mcal_m1", "Mcal_m2"]
+    assert list(summary["Mcal_m1"]) == ["2", "3", "4", "6"]
 
 
 def test_certify_missing_file():

@@ -227,8 +227,9 @@ def test_copula_spec_validation():
         CopulaSpec(Dependence.AR1, 1.0, 1.0)
     with pytest.raises(ValueError):
         CopulaSpec(Dependence.AR1, -0.1, 1.0)
-    with pytest.raises(ValueError):
-        CopulaSpec(Dependence.AR1, 0.5, 0.0)
+    for shape in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="shape_alpha must be positive and finite"):
+            CopulaSpec(Dependence.AR1, 0.5, shape)
 
 
 def test_data_matrix_validation():

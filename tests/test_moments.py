@@ -12,7 +12,6 @@ from maxboot.moments import (
     estimate_moment_summary,
     moment_tensor_diff_max,
     rate_certificate,
-    truncate_centered,
 )
 
 from conftest import oracle_row, seed
@@ -135,8 +134,6 @@ def test_certificate_kappa_and_default_bn():
     b_n = (math.sqrt(n) / (1.0 * 1.0 * math.log(p))) ** (1 / 3) / t_n
     assert cert.b_n == pytest.approx(b_n, rel=1e-12)
     assert cert.kappa_n4 == pytest.approx(b_n**4 * math.log(p) ** 3 / n, rel=1e-12)
-    override = rate_certificate(s, n, p, "wild", b_n=2.0)
-    assert override.kappa_n4 == pytest.approx(16.0 * math.log(p) ** 3 / n, rel=1e-12)
 
 
 def test_certificate_rejects_degenerate():
@@ -146,42 +143,6 @@ def test_certificate_rejects_degenerate():
         rate_certificate(s, 100, 10, "empirical")
     with pytest.raises(ValueError):
         rate_certificate(unit_summary(), 100, 10, "bogus")
-
-
-# ---------------------------------------------------------------------------
-# truncation
-# ---------------------------------------------------------------------------
-
-
-def test_truncation_inactive_known_mean():
-    values = np.array([[1.0, -2.0], [-1.0, 2.0]])
-    data = DataMatrix(values, known_mean=np.zeros(2))
-    out = truncate_centered(data, 10.0, Centering.KNOWN_MEAN)
-    assert np.array_equal(out.values, values)
-
-
-def test_truncation_everything_clipped():
-    data = DataMatrix(np.array([[5.0], [7.0], [9.0]]))
-    out = truncate_centered(data, 1e-6, Centering.SAMPLE_MEAN)
-    assert np.all(out.values == 0.0)
-
-
-def test_truncation_hand_example():
-    data = DataMatrix(np.array([[-3.0], [1.0], [2.0]]))
-    out = truncate_centered(data, 2.0, Centering.SAMPLE_MEAN)
-    np.testing.assert_allclose(out.values.ravel(), [-1.0, 0.0, 1.0])
-
-
-def test_truncation_zero_mean_and_idempotence(rng):
-    for _ in range(20):
-        data = DataMatrix(rng.standard_normal((12, 4)) * 3.0)
-        a_n = float(rng.uniform(0.5, 4.0))
-        once = truncate_centered(data, a_n, Centering.SAMPLE_MEAN)
-        np.testing.assert_allclose(once.values.mean(axis=0), 0.0, atol=1e-14)
-        # second pass with a level that clips nothing is a no-op up to fp
-        level = float(np.abs(once.values).max()) + 1.0
-        twice = truncate_centered(once, level, Centering.SAMPLE_MEAN)
-        np.testing.assert_allclose(twice.values, once.values, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from maxboot.stat_core import (
     EmpiricalDistribution,
     MaxMode,
     concentration_fn,
-    levy_prokhorov_pre,
     max_statistic,
     smooth_max,
     softmax_weights,
@@ -49,20 +48,6 @@ def concentration_oracle(sample, eps):
             lo = x - d  # interval (lo, lo + eps)
             best = max(best, np.sum((sample > lo) & (sample < lo + eps)))
     return best / len(sample)
-
-
-def lp_oracle(a, b, eps):
-    """eta(eps) scanned over a fine grid of thresholds."""
-    pts = np.unique(np.concatenate([a, b]))
-    grid = np.unique(np.concatenate([pts, pts + eps, pts + eps / 2, pts - eps / 2, pts + 1e-9]))
-    best = 0.0
-    for t in grid:
-        fa_shift = np.mean(a <= t - eps)
-        fb_left = np.mean(b < t)
-        fb_shift = np.mean(b <= t - eps)
-        fa_left = np.mean(a < t)
-        best = max(best, fa_shift - fb_left, fb_shift - fa_left)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -255,50 +240,6 @@ def test_ks_symmetric_bounded_zero_iff_equal(rng):
     # same multiset (up to ordering) induces the same step function
     assert two_sample_ks(da, EmpiricalDistribution(a[::-1].copy())) == 0.0
     assert two_sample_ks(da, db) > 0.0
-
-
-# ---------------------------------------------------------------------------
-# Levy-Prokhorov pre-distance
-# ---------------------------------------------------------------------------
-
-
-def test_lp_identical_point_masses():
-    assert levy_prokhorov_pre(dist(0.0), dist(0.0), 0.1) == 0.0
-
-
-def test_lp_separated_point_masses():
-    # at t = 0.5: F_a(0) = 1 while F_b(0.5-) = 0
-    assert levy_prokhorov_pre(dist(0.0), dist(1.0), 0.5) == 1.0
-
-
-def test_lp_bounded_by_ks(rng):
-    for _ in range(50):
-        a = rng.standard_normal(12)
-        b = rng.standard_normal(17) + 0.3
-        da, db = EmpiricalDistribution(a), EmpiricalDistribution(b)
-        eps = float(rng.uniform(0.01, 2.0))
-        assert levy_prokhorov_pre(da, db, eps) <= two_sample_ks(da, db) + 1e-14
-
-
-def test_lp_matches_grid_oracle(rng):
-    for _ in range(50):
-        a = rng.standard_normal(10)
-        b = rng.standard_normal(8) + rng.uniform(-0.5, 0.5)
-        eps = float(rng.uniform(0.05, 1.5))
-        got = levy_prokhorov_pre(EmpiricalDistribution(a), EmpiricalDistribution(b), eps)
-        assert got == pytest.approx(lp_oracle(a, b, eps), abs=1e-12)
-
-
-def test_lp_nonincreasing_in_eps(rng):
-    a = EmpiricalDistribution(rng.standard_normal(20))
-    b = EmpiricalDistribution(rng.standard_normal(20) + 0.5)
-    vals = [levy_prokhorov_pre(a, b, eps) for eps in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)]
-    assert all(x >= y - 1e-14 for x, y in zip(vals, vals[1:]))
-
-
-def test_lp_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        levy_prokhorov_pre(dist(0.0), dist(1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
