@@ -16,22 +16,18 @@ import dataclasses
 import functools
 import json
 import logging
-import math
 import sys
 
 import numpy as np
 
 from maxboot import theorycheck
-from maxboot.bootstrap import (
-    GAUSSIAN,
-    MAMMEN,
-    RADEMACHER,
-    BootstrapPlan,
-)
+from maxboot.bootstrap import BootstrapPlan, MultiplierKind
 from maxboot.datagen import CopulaSpec, DataMatrix, Dependence
 from maxboot.harness import (
     ExperimentConfig,
     ExperimentResult,
+    _blocks,
+    check_destination,
     emit_figure_data,
     emit_results,
     run_experiment,
@@ -80,9 +76,13 @@ _SCHEME_ALIASES = {
 }
 
 
-def _parse_config_file(path: str) -> dict:
-    """Flat key = value file; # starts a comment; keys match the CLI flags."""
+def _parse_config_file(path: str) -> tuple[dict, dict]:
+    """Flat key = value file; # starts a comment; keys match the CLI flags.
+
+    Returns the values and, for each key, the 'FILE:LINE' that set it.
+    """
     values: dict = {}
+    where: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -96,6 +96,7 @@ def _parse_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        where[key] = f"{path}:{lineno}"
         if key == "preset":
             kind, choices = str, tuple(_PRESETS)
         elif key in _RUN_KEYS:
@@ -113,7 +114,7 @@ def _parse_config_file(path: str) -> dict:
             raise ValueError(
                 f"{path}:{lineno}: key {key!r} expects one of {', '.join(choices)}, got {value!r}"
             )
-    return values
+    return values, where
 
 
 def _parse_schemes(spec: str, b_reps: int) -> tuple[BootstrapPlan, ...]:
@@ -125,36 +126,28 @@ def _parse_schemes(spec: str, b_reps: int) -> tuple[BootstrapPlan, ...]:
         if kind is None:
             raise ValueError(f"unknown scheme {token!r} (use g, m, r, e, mix[:p0])")
         if kind == "empirical":
-            plans.append(BootstrapPlan.empirical(b_reps))
+            multiplier = None
         elif kind == "mixed":
             try:
-                p0 = float(arg) if arg else 0.5
+                multiplier = MultiplierKind(kind, float(arg) if arg else 0.5)
             except ValueError:
-                p0 = math.nan
-            if not 0.0 < p0 < 1.0:
-                raise ValueError(f"bad scheme {token!r} (use mix[:p0] with p0 a number in (0, 1))")
-            plans.append(BootstrapPlan.mixed_wild(p0, b_reps))
+                raise ValueError(f"bad scheme {token!r} (use mix[:p0] with p0 a number in (0, 1))") from None
         else:
-            mult = {"gaussian": GAUSSIAN, "mammen": MAMMEN, "rademacher": RADEMACHER}[kind]
-            plans.append(BootstrapPlan.wild(mult, b_reps))
+            multiplier = MultiplierKind(kind)
+        plans.append(BootstrapPlan(multiplier, b_reps))
     return tuple(plans)
 
 
-def build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
-    """Resolve defaults < preset < config file < explicit CLI flags."""
-    values = {key: default for key, (_, default, _, _) in _RUN_KEYS.items()}
-    file_values = _parse_config_file(args.config) if args.config else {}
-    preset = args.preset or file_values.pop("preset", None)
-    if preset is not None:
-        values.update(_PRESETS[preset])
-    values.update(file_values)
-    for key in _RUN_KEYS:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            values[key] = cli_value
-
+def _resolve(values: dict) -> ExperimentConfig:
+    """The run's config from resolved key values.  Every range rule the run
+    applies is checked here, by the object that owns it, before any
+    replicate runs."""
+    _blocks(0, values["jobs"])
+    SeedSpec(values["seed"])
+    check_destination(values["out"])
+    check_destination(values["figure_data"])
     structure = Dependence.EQUICORRELATED if values["experiment"] == "I" else Dependence.AR1
-    config = ExperimentConfig(
+    return ExperimentConfig(
         copula=CopulaSpec(structure, values["rho"], values["shape"]),
         n=values["n"],
         p=values["p"],
@@ -165,7 +158,28 @@ def build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
         alpha_level=values["alpha"],
         mode=MaxMode(values["mode"]),
     )
-    return config, values
+
+
+def build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
+    """Resolve defaults < preset < config file < explicit CLI flags."""
+    defaults = {key: default for key, (_, default, _, _) in _RUN_KEYS.items()}
+    file_values, where = _parse_config_file(args.config) if args.config else ({}, {})
+    preset = args.preset or file_values.pop("preset", None)
+    values = dict(defaults)
+    if preset is not None:
+        values.update(_PRESETS[preset])
+    values.update(file_values)
+    for key in _RUN_KEYS:
+        cli_value = getattr(args, key, None)
+        if cli_value is not None:
+            values[key] = cli_value
+    # a file value that fails among the defaults is reported at its line
+    for key, value in file_values.items():
+        try:
+            _resolve({**defaults, key: value})
+        except ValueError as exc:
+            raise ValueError(f"{where[key]}: {exc}") from None
+    return _resolve(values), values
 
 
 def _emit(values: dict, result: ExperimentResult) -> None:
@@ -247,16 +261,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "certificates": {},
     }
     for scheme in ("empirical", "wild"):
-        cert = rate_certificate(summary, data.n, data.p, scheme)
-        payload["certificates"][scheme] = {
-            "gamma_star": cert.gamma_star,
-            "branch": cert.branch.value,
-            "tail_value": cert.tail_value,
-            "moment_value": cert.moment_value,
-            "kappa_n4": cert.kappa_n4,
-            "M": cert.M,
-            "b_n": cert.b_n,
-        }
+        payload["certificates"][scheme] = dataclasses.asdict(rate_certificate(summary, data.n, data.p, scheme))
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -15,8 +15,9 @@ import json
 import logging
 import math
 import multiprocessing
+import os
 import signal
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "run_experiment",
     "emit_results",
     "emit_figure_data",
+    "check_destination",
 ]
 
 logger = logging.getLogger(__name__)
@@ -214,9 +216,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, on_interrupt=None) -
     return _aggregate(config, per_rep)
 
 
-_COLUMNS = ("experiment", "rho", "shape_alpha", "scheme", "metric", "mean", "std", "reps")
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
@@ -237,12 +236,12 @@ def emit_results(rows: list[ResultRow], format: str, path: str | None) -> None:
     buf = io.StringIO()
     if format == "csv":
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_COLUMNS)
+        writer.writerow(field.name for field in fields(ResultRow))
         for row in ordered:
-            writer.writerow([_fmt(getattr(row, c)) for c in _COLUMNS])
+            writer.writerow(_fmt(v) for v in astuple(row))
     else:
         payload = [
-            {c: float(_fmt(v)) if isinstance(v := getattr(row, c), float) else v for c in _COLUMNS}
+            {c: float(_fmt(v)) if isinstance(v, float) else v for c, v in asdict(row).items()}
             for row in ordered
         ]
         json.dump(payload, buf, indent=2)
@@ -265,6 +264,14 @@ def emit_figure_data(per_rep_values: dict[str, np.ndarray], path: str | None) ->
         for rep, value in enumerate(per_rep_values[scheme]):
             writer.writerow([scheme, rep, repr(float(value))])
     _write_text(buf.getvalue(), path)
+
+
+def check_destination(path: str | None) -> None:
+    """Fail now, not after the run, when ``path`` lies in a directory that
+    does not exist."""
+    directory = os.path.dirname(path) if path and path != "-" else ""
+    if directory and not os.path.isdir(directory):
+        raise ValueError(f"cannot write results to {path!r}: directory {directory!r} does not exist")
 
 
 def _write_text(text: str, path: str | None) -> None:

@@ -58,25 +58,23 @@ class MomentSummary:
     Mcal_m2: dict[int, float] = field(repr=False)
 
 
-class RateBranch(enum.Enum):
+class RateBranch(str, enum.Enum):
     TAIL = "TailBranch"
     MOMENT = "MomentBranch"
 
 
 @dataclass(frozen=True)
 class RateCertificate:
-    """Constant-free convergence-rate value gamma*_n and which branch won."""
+    """Constant-free convergence-rate value gamma*_n, which branch won, and
+    the values behind it; ``certify`` prints the fields in this order."""
 
     gamma_star: float
     branch: RateBranch
+    tail_value: float
+    moment_value: float
     kappa_n4: float
-    n: int
-    p: int
     M: float
     b_n: float
-    scheme: str
-    tail_value: float = 0.0
-    moment_value: float = 0.0
 
 
 def _center(data: DataMatrix, center: Centering) -> np.ndarray:
@@ -141,18 +139,7 @@ def rate_certificate(summary: MomentSummary, n: int, p: int, scheme: str) -> Rat
         gamma_star, branch = tail, RateBranch.TAIL
     else:
         gamma_star, branch = moment, RateBranch.MOMENT
-    return RateCertificate(
-        gamma_star=gamma_star,
-        branch=branch,
-        kappa_n4=kappa_n4,
-        n=n,
-        p=p,
-        M=M,
-        b_n=b_n,
-        scheme=scheme,
-        tail_value=tail,
-        moment_value=moment,
-    )
+    return RateCertificate(gamma_star, branch, tail, moment, kappa_n4, M, b_n)
 
 
 def _tensor_guard(order: int, p: int) -> None:

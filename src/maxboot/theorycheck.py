@@ -46,8 +46,6 @@ _MIN_MC_REPS = 10_000
 class DerivativeTensor:
     """Dense, fully symmetric derivative tensor of the smooth max."""
 
-    order: int
-    p: int
     entries: np.ndarray
 
 
@@ -118,7 +116,7 @@ def fbeta_derivative(z: np.ndarray, beta: float, order: int) -> DerivativeTensor
         d211 = _sym(np.einsum("ab,c,d->abcd", d2, pi, pi))
         d1111 = _sym(np.einsum("a,b,c,d->abcd", pi, pi, pi, pi))
         core = d4 - 4.0 * d31 - 3.0 * d22 + 12.0 * d211 - 6.0 * d1111
-    return DerivativeTensor(order=order, p=z.size, entries=beta ** (order - 1) * core)
+    return DerivativeTensor(beta ** (order - 1) * core)
 
 
 def _fd_step(order: int) -> float:

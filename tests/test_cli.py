@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -15,6 +16,7 @@ import pytest
 from maxboot import harness
 from maxboot.cli import _RUN_KEYS, build_config, main
 from maxboot.datagen import Dependence
+from maxboot.moments import RateCertificate
 from maxboot.stat_core import MaxMode
 
 
@@ -170,6 +172,53 @@ def test_non_finite_shape_fails_before_the_run(tmp_path, monkeypatch, capsys, so
         argv = ["run", "--config", str(cfg)]
     assert main(argv) == 1
     assert "shape_alpha must be positive and finite, got inf" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("maxboot.cli.run_experiment", fail)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("rho", "2", "rho must lie in [0, 1), got 2.0"),
+        ("shape", "-1", "shape_alpha must be positive and finite, got -1.0"),
+        ("n", "1", "need n >= 2 and p >= 1"),
+        ("outer", "0", "outer_reps and truth_reps must be at least 1"),
+        ("alpha", "1.5", "alpha_level must lie in (0, 1)"),
+        ("breps", "0", "b_reps must be at least 1"),
+        ("schemes", "mix:2", "bad scheme 'mix:2' (use mix[:p0] with p0 a number in (0, 1))"),
+        ("jobs", "0", "jobs must be at least 1"),
+        ("seed", "-1", "seed components must be nonnegative integers"),
+    ],
+)
+def test_config_file_range_error_names_file_and_line(tmp_path, capsys, no_run, key, value, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"experiment = I\n{key} = {value}\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+    # the same value given as a flag keeps its message
+    assert main(["run", f"--{key}", value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, other", [("--out", "--figure-data"), ("--figure-data", "--out")])
+def test_missing_output_directory_fails_before_the_run(tmp_path, capsys, no_run, flag, other):
+    missing = tmp_path / "missing" / "rows.csv"
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    assert main(["run", flag, str(missing), other, str(kept)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: cannot write results to {str(missing)!r}: "
+        f"directory {str(missing.parent)!r} does not exist\n"
+    )
+    assert kept.read_text() == "old\n"
+    assert not missing.parent.exists()
 
 
 def test_mixed_scheme_with_p0():
@@ -363,6 +412,17 @@ def test_certify_summary_keys_follow_moment_summary_fields(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert list(summary) == ["M2", "M4", "M6", "sigma_lower", "Mcal4", "Mcal_m1", "Mcal_m2"]
     assert list(summary["Mcal_m1"]) == ["2", "3", "4", "6"]
+
+
+def test_certify_certificate_keys_follow_rate_certificate_fields(tmp_path, capsys):
+    path = tmp_path / "matrix.csv"
+    np.savetxt(path, np.random.default_rng(3).gamma(2.0, 1.0, (40, 6)), delimiter=",")
+    assert main(["certify", "--input", str(path)]) == 0
+    certificates = json.loads(capsys.readouterr().out)["certificates"]
+    keys = [field.name for field in dataclasses.fields(RateCertificate)]
+    assert keys == ["gamma_star", "branch", "tail_value", "moment_value", "kappa_n4", "M", "b_n"]
+    assert {scheme: list(cert) for scheme, cert in certificates.items()} == {"empirical": keys, "wild": keys}
+    assert {cert["branch"] for cert in certificates.values()} <= {"TailBranch", "MomentBranch"}
 
 
 def test_certify_missing_file():
