@@ -12,6 +12,15 @@ or ``gammainccinv(a, ndtr(-y))`` for y > 0) with exact slopes g' = phi(y) /
 (x f_a(x)), joined by cubic Hermite pieces (Fritsch & Carlson 1980).  Points
 off [-9, 9], or next to a knot whose x is not a normal double (shape 0.05 below
 y = -8.04), take the exact inverse.  Tested error: at most 1e-12 relative.
+
+The transform runs in pieces of 2^14 entries through a few reused piece-sized
+buffers, so its temporaries stay in L2: the index arithmetic, the four
+coefficient gathers (``take`` with ``out=`` and ``mode="clip"``, which numpy
+does not buffer) and Horner's rule each run in place, and ``exp`` writes
+straight into the output.  The latent normals are drawn into the matrix that
+the mix or the recursion then updates in place.  Every entry goes through the
+same IEEE operations as a one-shot, temporary-per-step evaluation, so the
+output is the same to the byte.
 """
 
 from __future__ import annotations
@@ -117,6 +126,7 @@ def _exact_transform(y: np.ndarray, a: float) -> np.ndarray:
 
 
 _EDGE, _STEP, _INTERVALS = 9.0, 1.0 / 512.0, 9216  # 2 * _EDGE / _STEP intervals
+_PIECE = 1 << 14  # entries per pass of the transform
 
 
 @functools.lru_cache(maxsize=16)
@@ -138,14 +148,29 @@ def _transform_table(a: float) -> tuple[np.ndarray, ...]:
 def _normal_to_gamma(y: np.ndarray, a: float) -> np.ndarray:
     """F_a^{-1}(Phi(y)) elementwise for a flat array: the table, else exact."""
     c0, c1, c2, c3 = _transform_table(float(a))
-    u = (y + _EDGE) * (1.0 / _STEP)
-    k = np.floor(u)
-    t = u - k
-    idx = np.clip(k, -1.0, _INTERVALS).astype(np.intp) + 1
-    g = ((c3.take(idx) * t + c2.take(idx)) * t + c1.take(idx)) * t + c0.take(idx)
-    x = np.exp(g)
-    off = np.isnan(g)
-    x[off] = _exact_transform(y[off], a)
+    x = np.empty(y.shape)
+    size = min(y.size, _PIECE)
+    t, k, buf = np.empty(size), np.empty(size), np.empty(size)
+    idx, nan = np.empty(size, np.intp), np.empty(size, bool)
+    for start in range(0, y.size, _PIECE):
+        stop = min(start + _PIECE, y.size)
+        m = stop - start
+        t_, k_, buf_, idx_, nan_ = t[:m], k[:m], buf[:m], idx[:m], nan[:m]
+        g = x[start:stop]
+        np.add(y[start:stop], _EDGE, out=t_)
+        t_ *= 1.0 / _STEP
+        np.floor(t_, out=k_)
+        t_ -= k_
+        np.clip(k_, -1.0, _INTERVALS, out=k_)
+        k_ += 1.0
+        idx_[:] = k_
+        c3.take(idx_, out=g, mode="clip")
+        for c in (c2, c1, c0):
+            g *= t_
+            g += c.take(idx_, out=buf_, mode="clip")
+        np.exp(g, out=g)
+        if np.isnan(g, out=nan_).any():
+            g[nan_] = _exact_transform(y[start:stop][nan_], a)
     return x
 
 
@@ -163,15 +188,19 @@ def sample_gaussian_copula(spec: CopulaSpec, n: int, p: int, seed: SeedSpec) -> 
     if spec.structure is Dependence.EQUICORRELATED:
         # single common factor: Y_j = sqrt(rho) Z0 + sqrt(1-rho) Z_j
         z0 = rng.standard_normal((n, 1))
-        z = rng.standard_normal((n, p))
-        y = math.sqrt(rho) * z0 + math.sqrt(1.0 - rho) * z
+        y = rng.standard_normal((n, p))
+        z0 *= math.sqrt(rho)
+        y *= math.sqrt(1.0 - rho)
+        y += z0
     else:
-        # stationary AR(1) recursion with N(0,1) marginals
-        eps = rng.standard_normal((n, p))
-        y = np.empty((n, p))
-        y[:, 0] = eps[:, 0]
-        c = math.sqrt(1.0 - rho * rho)
-        for j in range(1, p):
-            y[:, j] = rho * y[:, j - 1] + c * eps[:, j]
+        # stationary AR(1) recursion with N(0,1) marginals:
+        # Y_j = rho Y_{j-1} + sqrt(1-rho^2) eps_j, run in place over eps
+        y = rng.standard_normal((n, p))
+        y[:, 1:] *= math.sqrt(1.0 - rho * rho)
+        cols = list(y.T)
+        tmp = np.empty(n)
+        for prev, col in zip(cols, cols[1:]):
+            np.multiply(prev, rho, out=tmp)
+            col += tmp
     x = _normal_to_gamma(y.ravel(), spec.shape_alpha).reshape(n, p)
     return DataMatrix(values=x, known_mean=np.full(p, spec.shape_alpha))

@@ -267,9 +267,13 @@ def emit_figure_data(per_rep_values: dict[str, np.ndarray], path: str | None) ->
 
 
 def check_destination(path: str | None) -> None:
-    """Fail now, not after the run, when ``path`` lies in a directory that
-    does not exist."""
-    directory = os.path.dirname(path) if path and path != "-" else ""
+    """Fail now, not after the run, when ``path`` is a directory or lies in a
+    directory that does not exist."""
+    if not path or path == "-":
+        return
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write results to {path!r}: it is a directory")
+    directory = os.path.dirname(path)
     if directory and not os.path.isdir(directory):
         raise ValueError(f"cannot write results to {path!r}: directory {directory!r} does not exist")
 

@@ -221,6 +221,19 @@ def test_missing_output_directory_fails_before_the_run(tmp_path, capsys, no_run,
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize("flag, other", [("--out", "--figure-data"), ("--figure-data", "--out")])
+def test_directory_as_output_path_fails_before_the_run(tmp_path, capsys, no_run, flag, other):
+    directory = tmp_path / "results"
+    directory.mkdir()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    assert main(["run", flag, str(directory), other, str(kept)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write results to {str(directory)!r}: it is a directory\n"
+    assert kept.read_text() == "old\n"
+    assert list(directory.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "results"]
+
+
 def test_mixed_scheme_with_p0():
     config, _ = build_config(parse_args("--schemes", "mix:0.3,e"))
     assert config.schemes[0].multiplier.p0 == 0.3

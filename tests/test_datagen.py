@@ -7,11 +7,14 @@ from scipy import special
 from maxboot.datagen import (
     _EDGE,
     _INTERVALS,
+    _PIECE,
     _STEP,
     CopulaSpec,
     DataMatrix,
     Dependence,
+    _exact_transform,
     _normal_to_gamma,
+    _transform_table,
     gamma_quantile,
     sample_gaussian_copula,
 )
@@ -215,6 +218,73 @@ def test_distinct_streams_differ():
     a = sample_gaussian_copula(spec, 32, 4, SeedSpec(5, 0))
     b = sample_gaussian_copula(spec, 32, 4, SeedSpec(5, 1))
     assert not np.array_equal(a.values, b.values)
+
+
+# ---------------------------------------------------------------------------
+# byte identity with a one-shot evaluation
+# ---------------------------------------------------------------------------
+
+
+def one_shot_transform(y: np.ndarray, a: float) -> np.ndarray:
+    """The transform over the whole array at once, one temporary per step."""
+    c0, c1, c2, c3 = _transform_table(float(a))
+    u = (y + _EDGE) * (1.0 / _STEP)
+    k = np.floor(u)
+    t = u - k
+    idx = np.clip(k, -1.0, _INTERVALS).astype(np.intp) + 1
+    g = ((c3.take(idx) * t + c2.take(idx)) * t + c1.take(idx)) * t + c0.take(idx)
+    x = np.exp(g)
+    off = np.isnan(g)
+    x[off] = _exact_transform(y[off], a)
+    return x
+
+
+def one_shot_sample(spec: CopulaSpec, n: int, p: int, seed: SeedSpec) -> np.ndarray:
+    """The sampler with a fresh array per operation and a column-copying recursion."""
+    rng = seed.rng()
+    rho = spec.rho
+    if spec.structure is Dependence.EQUICORRELATED:
+        z0 = rng.standard_normal((n, 1))
+        z = rng.standard_normal((n, p))
+        y = math.sqrt(rho) * z0 + math.sqrt(1.0 - rho) * z
+    else:
+        eps = rng.standard_normal((n, p))
+        y = np.empty((n, p))
+        y[:, 0] = eps[:, 0]
+        c = math.sqrt(1.0 - rho * rho)
+        for j in range(1, p):
+            y[:, j] = rho * y[:, j - 1] + c * eps[:, j]
+    return one_shot_transform(y.ravel(), spec.shape_alpha).reshape(n, p)
+
+
+# n * p one short of a piece, one piece, one past it, more than three pieces;
+# AR(1) with one column and both structures with one row
+PIECE_SHAPES = [(127, 129), (128, 128), (113, 145), (200, 300), (50, 1), (1, 40)]
+assert [n * p for n, p in PIECE_SHAPES[:4]] == [_PIECE - 1, _PIECE, _PIECE + 1, 60_000]
+assert 60_000 > 3 * _PIECE
+
+
+@pytest.mark.parametrize("structure", list(Dependence))
+@pytest.mark.parametrize("a", (0.05, 1.0, 10.0))
+@pytest.mark.parametrize("n, p", PIECE_SHAPES)
+def test_sampler_matches_one_shot_evaluation(structure, a, n, p):
+    spec = CopulaSpec(structure, 0.6, a)
+    got = sample_gaussian_copula(spec, n, p, seed(7, n, p))
+    expected = one_shot_sample(spec, n, p, seed(7, n, p))
+    assert got.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("a", (0.05, 1.0, 10.0))
+def test_transform_matches_one_shot_evaluation(a):
+    # y straddles +-9 everywhere, the first piece ends on the exact path, and
+    # the tail is far past the table (beyond any intp once scaled)
+    y = 5.0 * np.random.default_rng(11).standard_normal(3 * _PIECE + 7)
+    y[_PIECE - 2 : _PIECE + 2] = [-9.5, 8.99, 9.0, -8.5]
+    y[-3:] = [-1e30, 1e30, 37.0]
+    expected = one_shot_transform(y, a)
+    assert _normal_to_gamma(y[:0], a).shape == (0,)
+    assert _normal_to_gamma(y, a).tobytes() == expected.tobytes()
+    assert (np.abs(y) > _EDGE).sum() > 100
 
 
 # ---------------------------------------------------------------------------
