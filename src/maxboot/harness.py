@@ -1,13 +1,17 @@
 """Experiment runner: Monte Carlo truth law, per-dataset bootstrap laws,
 Kolmogorov-Smirnov and coverage metrics, and deterministic file emission.
 
-Outer replicates are the parallel unit.  Every replicate derives its own
-random substream from the master seed, so results are byte-identical at any
-worker count; aggregation sorts by replicate index before reducing.
+Blocks of replicates are the parallel unit.  Both phases of a run, the
+truth law and then the outer replicates, go through one block map, opened
+once per run: the builtin ``map`` at one job, else one worker pool.  Every
+replicate derives its own random substream from the master seed, so results
+are byte-identical at any worker count; aggregation sorts by replicate index
+before reducing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -22,7 +26,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from maxboot.bootstrap import BootstrapPlan, bootstrap_distribution
-from maxboot.datagen import CopulaSpec, Dependence, sample_gaussian_copula
+from maxboot.datagen import CopulaSpec, DataMatrix, Dependence, sample_gaussian_copula
 from maxboot.rng import SeedSpec
 from maxboot.stat_core import (
     EmpiricalDistribution,
@@ -107,13 +111,23 @@ def _blocks(total: int, jobs: int) -> list[range]:
     return [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
+def _dataset(config: ExperimentConfig, space: int, r: int) -> tuple[DataMatrix, float]:
+    """Dataset r of substream namespace ``space`` and its max statistic at
+    the known mean; the truth law and the outer replicates draw alike."""
+    data = sample_gaussian_copula(
+        config.copula, config.n, config.p, SeedSpec(config.master_seed).child(space, r)
+    )
+    return data, max_statistic(data, data.known_mean, config.mode)
+
+
 def _truth_block(config: ExperimentConfig, reps: range) -> list[float]:
     out = []
     for r in reps:
-        data = sample_gaussian_copula(
-            config.copula, config.n, config.p, SeedSpec(config.master_seed).child(_TRUTH, r)
-        )
-        out.append(max_statistic(data, data.known_mean, config.mode))
+        # ``data`` stays alive until the next dataset is drawn: freed first,
+        # its pages go back to the system and every draw faults them in
+        # afresh (about 20 times the minor faults)
+        data, tn = _dataset(config, _TRUTH, r)
+        out.append(tn)
     return out
 
 
@@ -123,10 +137,7 @@ def _outer_block(
     truth = EmpiricalDistribution(truth_sample)
     out = []
     for r in reps:
-        data = sample_gaussian_copula(
-            config.copula, config.n, config.p, SeedSpec(config.master_seed).child(_DATA, r)
-        )
-        tn = max_statistic(data, data.known_mean, config.mode)
+        data, tn = _dataset(config, _DATA, r)
         ks_vals, covered = [], []
         for s, plan in enumerate(config.schemes):
             law = bootstrap_distribution(
@@ -138,32 +149,42 @@ def _outer_block(
     return out
 
 
-def _run_blocks(fn, blocks: list[range], jobs: int, out: list, what: str) -> None:
-    """Evaluate ``fn`` on each block in order, appending each block's items
-    to ``out`` and logging how many of ``what`` replicates are done; on an
-    interrupt the items of the blocks completed so far stay there.  Pool
-    workers ignore SIGINT and are terminated when the pool is left, so an
+@contextlib.contextmanager
+def _block_map(jobs: int):
+    """The map that evaluates one run's blocks, in every phase: the builtin
+    ``map`` at one job, else ``imap`` of one pool opened here.  Pool workers
+    ignore SIGINT and are terminated when the block is left, so an
     interrupt never waits on them."""
-
-    def collect(results) -> None:
-        for items in results:
-            out.extend(items)
-            logger.info("%s replicates done: %d of %d", what, len(out), blocks[-1].stop)
-
+    _blocks(0, jobs)  # rejects jobs < 1 before a pool is opened
     if jobs == 1:
-        collect(map(fn, blocks))
+        yield map
         return
     with multiprocessing.Pool(jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-        collect(pool.imap(fn, blocks))
+        yield pool.imap
+
+
+def _walk(block_map, fn, blocks: list[range], out: list, what: str) -> None:
+    """Evaluate ``fn`` on each block in order through ``block_map``,
+    appending each block's items to ``out`` and logging how many of
+    ``what`` replicates are done; on an interrupt the items of the blocks
+    completed so far stay there."""
+    for items in block_map(fn, blocks):
+        out.extend(items)
+        logger.info("%s replicates done: %d of %d", what, len(out), blocks[-1].stop)
+
+
+def _truth_law(config: ExperimentConfig, block_map, jobs: int) -> EmpiricalDistribution:
+    logger.info("simulating truth law: %d replicates", config.truth_reps)
+    fn = functools.partial(_truth_block, config)
+    stats: list[float] = []
+    _walk(block_map, fn, _blocks(config.truth_reps, jobs), stats, "truth")
+    return EmpiricalDistribution(np.asarray(stats))
 
 
 def run_truth(config: ExperimentConfig, jobs: int = 1) -> EmpiricalDistribution:
     """Monte Carlo law of the true statistic over truth_reps fresh datasets."""
-    logger.info("simulating truth law: %d replicates", config.truth_reps)
-    fn = functools.partial(_truth_block, config)
-    stats: list[float] = []
-    _run_blocks(fn, _blocks(config.truth_reps, jobs), jobs, stats, "truth")
-    return EmpiricalDistribution(np.asarray(stats))
+    with _block_map(jobs) as block_map:
+        return _truth_law(config, block_map, jobs)
 
 
 def _aggregate(config: ExperimentConfig, per_rep: list) -> ExperimentResult:
@@ -200,14 +221,16 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, on_interrupt=None) -
     (scheme, metric).
 
     On KeyboardInterrupt, ``on_interrupt`` (when given) receives the result
-    of the replicates finished so far, and then the interrupt propagates.
+    of the outer replicates finished so far, if any, and then the interrupt
+    propagates.
     """
-    truth = run_truth(config, jobs=jobs)
-    logger.info("running %d outer replicates", config.outer_reps)
-    fn = functools.partial(_outer_block, config, truth.sample)
     per_rep: list = []
     try:
-        _run_blocks(fn, _blocks(config.outer_reps, jobs), jobs, per_rep, "outer")
+        with _block_map(jobs) as block_map:
+            truth = _truth_law(config, block_map, jobs)
+            logger.info("running %d outer replicates", config.outer_reps)
+            fn = functools.partial(_outer_block, config, truth.sample)
+            _walk(block_map, fn, _blocks(config.outer_reps, jobs), per_rep, "outer")
     except KeyboardInterrupt:
         if per_rep and on_interrupt is not None:
             logger.warning("interrupted; flushing %d completed replicates", len(per_rep))
@@ -267,8 +290,9 @@ def emit_figure_data(per_rep_values: dict[str, np.ndarray], path: str | None) ->
 
 
 def check_destination(path: str | None) -> None:
-    """Fail now, not after the run, when ``path`` is a directory or lies in a
-    directory that does not exist."""
+    """Fail now, not after the run, when ``path`` is a directory, lies in a
+    directory that does not exist, or cannot be written: an existing file
+    must be writable, and a new file needs a writable directory."""
     if not path or path == "-":
         return
     if os.path.isdir(path):
@@ -276,6 +300,13 @@ def check_destination(path: str | None) -> None:
     directory = os.path.dirname(path)
     if directory and not os.path.isdir(directory):
         raise ValueError(f"cannot write results to {path!r}: directory {directory!r} does not exist")
+    if os.path.exists(path):
+        if not os.access(path, os.W_OK):
+            raise ValueError(f"cannot write results to {path!r}: it is not writable")
+    elif not os.access(directory or ".", os.W_OK | os.X_OK):
+        raise ValueError(
+            f"cannot write results to {path!r}: directory {directory or '.'!r} is not writable"
+        )
 
 
 def _write_text(text: str, path: str | None) -> None:

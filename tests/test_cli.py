@@ -234,6 +234,32 @@ def test_directory_as_output_path_fails_before_the_run(tmp_path, capsys, no_run,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "results"]
 
 
+@pytest.mark.parametrize("exists", [False, True], ids=["new-file", "existing-file"])
+@pytest.mark.parametrize("flag, other", [("--out", "--figure-data"), ("--figure-data", "--out")])
+def test_unwritable_output_path_fails_before_the_run(
+    tmp_path, capsys, monkeypatch, no_run, flag, other, exists
+):
+    # the tests may run as root, which no file mode stops, so os.access
+    # denies writing to the file when it exists and to its directory when not
+    target = tmp_path / "rows.csv"
+    if exists:
+        target.write_text("old\n")
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    denied = str(target) if exists else str(tmp_path)
+    access = os.access
+    monkeypatch.setattr(
+        os, "access", lambda path, mode, **kw: str(path) != denied and access(path, mode, **kw)
+    )
+    assert main(["run", flag, str(target), other, str(kept)]) == 1
+    reason = "it is not writable" if exists else f"directory {denied!r} is not writable"
+    assert capsys.readouterr().err == f"error: cannot write results to {str(target)!r}: {reason}\n"
+    assert kept.read_text() == "old\n"
+    assert target.exists() == exists
+    if exists:
+        assert target.read_text() == "old\n"
+
+
 def test_mixed_scheme_with_p0():
     config, _ = build_config(parse_args("--schemes", "mix:0.3,e"))
     assert config.schemes[0].multiplier.p0 == 0.3
@@ -314,6 +340,26 @@ def test_interrupt_writes_chosen_format_and_figure_data(tmp_path, monkeypatch):
                  "--out", str(clean), "--figure-data", str(clean_fig)]) == 0
     assert flushed.read_bytes() == clean.read_bytes()
     assert flushed_fig.read_bytes() == clean_fig.read_bytes()
+
+
+def test_interrupt_in_the_truth_phase_writes_nothing(tmp_path, monkeypatch):
+    # the truth law at one job runs as eight blocks; the second is interrupted
+    block = harness._truth_block
+    calls = []
+
+    def interrupted_block(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return block(*args)
+
+    monkeypatch.setattr(harness, "_truth_block", interrupted_block)
+    out = tmp_path / "rows.csv"
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--n", "16", "--p", "4", "--truth", "40", "--outer", "4",
+              "--breps", "8", "--schemes", "m,e", "--out", str(out)])
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_second_interrupt_at_two_jobs_exits_with_the_flush(tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -145,6 +146,46 @@ def test_interrupt_flushes_completed_replicates(tmp_path, monkeypatch, caplog):
     clean = tmp_path / "clean.csv"
     emit_results(run_experiment(tiny_config(outer_reps=2)).rows, "csv", str(clean))
     assert flushed.read_bytes() == clean.read_bytes()
+
+
+def test_interrupt_in_the_truth_phase_flushes_nothing(monkeypatch):
+    # 60 truth replicates at one job run as eight blocks; the second is
+    # interrupted before any outer replicate has run
+    block = harness._truth_block
+    calls = []
+
+    def interrupted_block(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return block(*args)
+
+    monkeypatch.setattr(harness, "_truth_block", interrupted_block)
+    flushed = []
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(tiny_config(), jobs=1, on_interrupt=flushed.append)
+    assert len(calls) == 2
+    assert flushed == []
+
+
+def test_one_pool_per_run(monkeypatch):
+    # both phases of a run share one pool; one job opens none
+    opened = []
+    pool = multiprocessing.Pool
+
+    def counting_pool(*args, **kwargs):
+        opened.append(args)
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    cfg = tiny_config(outer_reps=4, truth_reps=20)
+    run_experiment(cfg, jobs=2)
+    assert len(opened) == 1
+    run_truth(cfg, jobs=2)
+    assert len(opened) == 2
+    run_experiment(cfg, jobs=1)
+    run_truth(cfg, jobs=1)
+    assert len(opened) == 2
 
 
 def test_jobs_below_one_rejected():
