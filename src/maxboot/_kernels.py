@@ -4,17 +4,19 @@ Replicate r's statistic is max_j of sum_i w[r, i] * xc[i, j] / sqrt(n), where
 row r of ``w`` holds multipliers (wild schemes) or resample counts
 (empirical bootstrap).
 
-The rows are reduced in tiles of 64: each tile is copied into one reused,
-zero-padded (64, n) buffer and multiplied by ``xc`` in one BLAS GEMM.  Every
-product has the same shape, so with BLAS on one thread a row's value does not
+The b rows are never held at once.  They are walked in tiles of 64: the
+caller draws each tile's rows straight into one reused, zero-padded (64, n)
+buffer, which is then multiplied by ``xc`` in one BLAS GEMM.  Every product
+has the same shape, so with BLAS on one thread a row's value does not
 depend on its position in the tile, on its neighbours or on the batch size:
 a replicate computed alone (``bootstrap_stat_once``) equals its row of the
 whole distribution.  At two OpenBLAS threads that fails (at n 200, p 100, 40
 of 832 row and position pairs gave another value than the row's place in
 its batch, on a 2-vCPU Xeon with OpenBLAS 0.3.31), so the reduction sets the
 OpenBLAS that numpy loaded to one thread for its duration and then restores
-the caller's count.  Where no OpenBLAS thread control can be found, the tile
-is one row: one BLAS matvec per replicate, which is thread-invariant.
+the caller's count.  Where no OpenBLAS thread control can be found, the
+tiles are still drawn whole but multiplied one row at a time: one BLAS
+matvec per replicate, which is thread-invariant.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import contextlib
 import ctypes
 import functools
 import threading
+from collections.abc import Callable
 
 import numpy as np
 
@@ -79,21 +82,26 @@ def _one_blas_thread(threads):
             put(saved)
 
 
-def max_reduce(xc: np.ndarray, w: np.ndarray, absolute: bool) -> np.ndarray:
+def max_reduce(
+    xc: np.ndarray, fill: Callable[[np.ndarray], None], b: int, absolute: bool
+) -> np.ndarray:
+    """The b replicate statistics.  ``fill(rows)`` writes the next k <= 64
+    weight rows, in replicate order, into the (k, n) array ``rows``."""
     n = xc.shape[0]
-    if w.shape[1] != n:
-        raise ValueError("weight row length must equal the row count of xc")
     threads = _blas_threads()
-    tile = 1 if threads is None else _TILE
-    buf = np.zeros((tile, n))
-    prod = np.empty((tile, xc.shape[1]))
-    out = np.empty(w.shape[0])
+    buf = np.zeros((_TILE, n))
+    prod = np.empty((_TILE, xc.shape[1]))
+    out = np.empty(b)
     with _one_blas_thread(threads):
-        for start in range(0, w.shape[0], tile):
-            k = min(tile, w.shape[0] - start)
-            buf[:k] = w[start : start + k]
+        for start in range(0, b, _TILE):
+            k = min(_TILE, b - start)
+            fill(buf[:k])
             buf[k:] = 0.0
-            np.matmul(buf, xc, out=prod)
+            if threads is None:
+                for r in range(k):
+                    np.matmul(buf[r : r + 1], xc, out=prod[r : r + 1])
+            else:
+                np.matmul(buf, xc, out=prod)
             if absolute:
                 np.abs(prod, out=prod)
             prod[:k].max(axis=1, out=out[start : start + k])

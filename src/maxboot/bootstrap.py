@@ -8,6 +8,7 @@ and identical under any evaluation order or batching.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from collections.abc import Iterable
@@ -188,73 +189,72 @@ def _bounded_integers(k: int, n: int, rngs: Iterable[np.random.Generator], b: in
     return index
 
 
-def _resample_counts(n: int, rngs: Iterable[np.random.Generator], b: int) -> np.ndarray:
-    """Row r counts how often each of n rows occurs in a resample of n."""
-    index = _bounded_integers(n, n, rngs, b)
-    index += np.arange(0, b * n, n)[:, None]
-    return np.bincount(index.ravel(), minlength=b * n).reshape(b, n)
-
-
-def _replicate_rows(
-    plan: BootstrapPlan, n: int, rngs: Iterable[np.random.Generator], b: int
-) -> np.ndarray:
-    """One weight row per replicate, drawn from its stream.
+def _fill_rows(plan: BootstrapPlan, rngs: Iterable[np.random.Generator], out: np.ndarray) -> None:
+    """Fill the (k, n) array out with one weight row per stream of rngs.
 
     The wild schemes' weights are the multipliers.  The empirical bootstrap's
     are the multinomial counts of its resampled indices: summing the
     resampled centered rows is the same as weighting each row by its count.
 
-    Each stream makes one C-level fill into its row of a (b, n) block, and
-    the law is then applied to the whole block in place.  Gaussian rows are
-    ``standard_normal`` fills and Mammen rows threshold ``random`` fills.  The
-    mixed law fills the branch uniforms, the Gaussian branch and the Mammen
-    uniforms, in that order whatever the branches turn out to be, and
-    compares the Mammen uniforms with their threshold row by row, so one
-    extra float block is live.  Rademacher signs and resample indices are numpy's ``integers``
-    read from one ``random_raw`` fill (``_bounded_integers``): a sign is the
-    top bit of a 32-bit half, low half first, and an index is
+    Each stream makes one C-level fill into its row of out, and the law is
+    then applied to all k rows in place; the law's scratch arrays are (k, n)
+    too, so a caller that walks its streams in tiles never holds more than a
+    tile.  Gaussian rows are ``standard_normal`` fills and Mammen rows
+    threshold ``random`` fills.  The mixed law fills the branch uniforms, the
+    Gaussian branch and the Mammen uniforms, in that order whatever the
+    branches turn out to be, and compares the Mammen uniforms with their
+    threshold row by row.  Rademacher signs and resample indices are numpy's
+    ``integers`` read from one ``random_raw`` fill (``_bounded_integers``): a
+    sign is the top bit of a 32-bit half, low half first, and an index is
     ``(x * n) >> 32``.  The tests compare every scheme's rows with numpy's
     per-row calls bit for bit, so a change to numpy's streams or maps fails
     there.
     """
+    k, n = out.shape
     kind = plan.multiplier
     if kind is None:
-        return _resample_counts(n, rngs, b).astype(np.float64)
+        # row r counts how often each of the n rows occurs in resample r
+        index = _bounded_integers(n, n, rngs, k)
+        index += np.arange(0, k * n, n)[:, None]
+        out[...] = np.bincount(index.ravel(), minlength=k * n).reshape(k, n)
+        return
     if kind.name == "rademacher":
-        return np.take(_SIGNS, _bounded_integers(2, n, rngs, b), mode="clip")
-    rows = np.empty((b, n))
+        np.take(_SIGNS, _bounded_integers(2, n, rngs, k), out=out, mode="clip")
+        return
     if kind.name == "gaussian":
         for r, rng in enumerate(rngs):
-            rng.standard_normal(out=rows[r])
-        return rows
+            rng.standard_normal(out=out[r])
+        return
     # a two-value table lookup ("clip" skips the bounds check) is several
     # times faster than a masked assignment, whose branch a random mask defeats
     if kind.name == "mammen":
         for r, rng in enumerate(rngs):
-            rng.random(out=rows[r])
-        plus = rows < MAMMEN_PROB_PLUS
-        return np.take(_MAMMEN_VALUES, plus.view(np.uint8), out=rows, mode="clip")
+            rng.random(out=out[r])
+        plus = out < MAMMEN_PROB_PLUS
+        np.take(_MAMMEN_VALUES, plus.view(np.uint8), out=out, mode="clip")
+        return
     # mixed: the branch uniform, the Gaussian branch, then the Mammen uniform
     a0, b0 = mixed_coefficients(kind.p0)
-    branch = np.empty((b, n))
+    branch = np.empty((k, n))
     uniform = np.empty(n)
-    plus = np.empty((b, n), dtype=bool)
+    plus = np.empty((k, n), dtype=bool)
     for r, rng in enumerate(rngs):
         rng.random(out=branch[r])
-        rng.standard_normal(out=rows[r])
+        rng.standard_normal(out=out[r])
         np.less(rng.random(out=uniform), MAMMEN_PROB_PLUS, out=plus[r])
     mammen = branch >= kind.p0
     np.take(b0 * _MAMMEN_VALUES, plus.view(np.uint8), out=branch, mode="clip")
-    rows *= a0
-    np.copyto(rows, branch, where=mammen)
-    return rows
+    out *= a0
+    np.copyto(out, branch, where=mammen)
 
 
 def draw_multipliers(kind: MultiplierKind, n: int, seed: SeedSpec) -> np.ndarray:
     """n i.i.d. multipliers from the law, deterministic given the seed."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _replicate_rows(BootstrapPlan.wild(kind, 1), n, [seed.rng()], 1)[0]
+    row = np.empty((1, n))
+    _fill_rows(BootstrapPlan.wild(kind, 1), [seed.rng()], row)
+    return row[0]
 
 
 def bootstrap_stat_once(
@@ -264,8 +264,11 @@ def bootstrap_stat_once(
     if data.n < 2:
         raise ValueError("bootstrap requires at least two rows")
     xc = _centered_values(data, plan)
-    rows = _replicate_rows(plan, data.n, [seed.rng()], 1)
-    return float(_kernels.max_reduce(xc, rows, mode is MaxMode.ABSOLUTE)[0])
+
+    def fill(rows: np.ndarray) -> None:
+        _fill_rows(plan, [seed.rng()], rows)
+
+    return float(_kernels.max_reduce(xc, fill, 1, mode is MaxMode.ABSOLUTE)[0])
 
 
 def bootstrap_distribution(
@@ -273,11 +276,17 @@ def bootstrap_distribution(
 ) -> EmpiricalDistribution:
     """plan.b_reps conditionally-i.i.d. bootstrap statistics, sorted.
 
-    Replicate r draws from ``seed.child(r)``; batching the reduction does not
-    change any individual replicate's value.
+    Replicate r draws from ``seed.child(r)``; the streams are walked in the
+    reduction's tiles, and neither the tiling nor the batch size changes any
+    individual replicate's value.
     """
     if data.n < 2:
         raise ValueError("bootstrap requires at least two rows")
     xc = _centered_values(data, plan)
-    rows = _replicate_rows(plan, data.n, seed.child_rngs(plan.b_reps), plan.b_reps)
-    return EmpiricalDistribution(_kernels.max_reduce(xc, rows, mode is MaxMode.ABSOLUTE))
+    rngs = seed.child_rngs(plan.b_reps)
+
+    def fill(rows: np.ndarray) -> None:
+        _fill_rows(plan, itertools.islice(rngs, len(rows)), rows)
+
+    stats = _kernels.max_reduce(xc, fill, plan.b_reps, mode is MaxMode.ABSOLUTE)
+    return EmpiricalDistribution(stats)

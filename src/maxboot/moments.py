@@ -20,7 +20,7 @@ import numpy as np
 from maxboot.bootstrap import (
     BootstrapPlan,
     _centered_values,
-    _replicate_rows,
+    _fill_rows,
     multiplier_moment,
 )
 from maxboot.datagen import DataMatrix
@@ -216,9 +216,10 @@ def bootstrap_moment_tensor_mc(
     total = np.zeros(row_tensors.shape[1:])
     total_sq = np.zeros_like(total)
     rngs = seed.child_rngs(b_reps)
+    block = np.empty((min(4096, b_reps), data.n))
     for done in range(0, b_reps, 4096):
-        m = min(4096, b_reps - done)
-        weights = _replicate_rows(plan, data.n, itertools.islice(rngs, m), m)
+        weights = block[: min(4096, b_reps - done)]
+        _fill_rows(plan, itertools.islice(rngs, len(weights)), weights)
         if plan.multiplier is not None:
             # a wild replicate weights row i's tensor by W_i^order
             weights **= order

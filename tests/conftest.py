@@ -23,7 +23,7 @@ def seed(*keys: int) -> SeedSpec:
 
 def oracle_row(plan: BootstrapPlan, n: int, rng: np.random.Generator) -> np.ndarray:
     """One replicate's weight row from numpy's public per-row draws: the
-    reference that the block fill of ``_replicate_rows`` must match bit for bit."""
+    reference that the in-place fill of ``_fill_rows`` must match bit for bit."""
     kind = plan.multiplier
     if kind is None:
         return np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)

@@ -19,6 +19,22 @@ def count_rows(rng, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, counts
 
 
+def fill_from(w: np.ndarray):
+    """A ``max_reduce`` fill that serves the rows of w in order."""
+    done = 0
+
+    def fill(out: np.ndarray) -> None:
+        nonlocal done
+        out[...] = w[done : done + len(out)]
+        done += len(out)
+
+    return fill
+
+
+def reduce_rows(xc: np.ndarray, w: np.ndarray, absolute: bool) -> np.ndarray:
+    return _kernels.max_reduce(xc, fill_from(w), len(w), absolute)
+
+
 def gemv_reduce(xc: np.ndarray, w: np.ndarray, absolute: bool) -> np.ndarray:
     """The one-matvec-per-replicate reduction, as a reference."""
     scale = 1.0 / np.sqrt(xc.shape[0])
@@ -38,7 +54,7 @@ def test_count_rows_match_gather_sum_oracle(rng):
         sums = np.array([xc[row].sum(axis=0) for row in idx])
         stats = np.abs(sums) if absolute else sums
         np.testing.assert_allclose(
-            _kernels.max_reduce(xc, counts, absolute), stats.max(axis=1) / np.sqrt(n), rtol=1e-12
+            reduce_rows(xc, counts, absolute), stats.max(axis=1) / np.sqrt(n), rtol=1e-12
         )
 
 
@@ -50,11 +66,11 @@ def test_numpy_single_row_matches_batch(rng):
         xc = rng.standard_normal((n, p))
         w = rng.standard_normal((b, n))
         _, counts = count_rows(rng, b, n)
-        full_w = _kernels.max_reduce(xc, w, False)
-        full_c = _kernels.max_reduce(xc, counts, True)
+        full_w = reduce_rows(xc, w, False)
+        full_c = reduce_rows(xc, counts, True)
         for r in range(b):
-            assert _kernels.max_reduce(xc, w[r : r + 1], False)[0] == full_w[r]
-            assert _kernels.max_reduce(xc, counts[r : r + 1], True)[0] == full_c[r]
+            assert reduce_rows(xc, w[r : r + 1], False)[0] == full_w[r]
+            assert reduce_rows(xc, counts[r : r + 1], True)[0] == full_c[r]
 
 
 def test_without_thread_control_each_row_is_one_matvec(rng, monkeypatch):
@@ -65,7 +81,7 @@ def test_without_thread_control_each_row_is_one_matvec(rng, monkeypatch):
         _, counts = count_rows(rng, 130, n)
         for rows in (w, counts):
             for absolute in (False, True):
-                got = _kernels.max_reduce(xc, rows, absolute)
+                got = reduce_rows(xc, rows, absolute)
                 assert np.array_equal(got, gemv_reduce(xc, rows, absolute))
 
 
@@ -77,11 +93,11 @@ def test_concurrent_reductions_restore_the_thread_count(rng):
     before = get()
     xc = rng.standard_normal((200, 100))
     w = rng.standard_normal((130, 200))
-    ref = _kernels.max_reduce(xc, w, False)
+    ref = reduce_rows(xc, w, False)
     results: list[bool] = []
 
     def work() -> None:
-        results.extend(np.array_equal(_kernels.max_reduce(xc, w, False), ref) for _ in range(20))
+        results.extend(np.array_equal(reduce_rows(xc, w, False), ref) for _ in range(20))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -116,7 +132,13 @@ if threads and "OPENBLAS_NUM_THREADS" in os.environ and count() != 2:
 
 def reduce(xc, w, absolute):
     before = count()
-    out = _kernels.max_reduce(xc, w, absolute)
+    done = [0]
+
+    def fill(rows):
+        rows[...] = w[done[0] : done[0] + len(rows)]
+        done[0] += len(rows)
+
+    out = _kernels.max_reduce(xc, fill, len(w), absolute)
     if count() != before:
         problems.append(f"thread count {before} became {count()}")
     return out
@@ -149,7 +171,8 @@ for p in (100, 400):
     data = DataMatrix(rng.standard_gamma(1.0, (n, p)), known_mean=np.ones(p))
     seed = SeedSpec(20250808, p)
     for plan, mode in zip(plans, [MaxMode.ONE_SIDED, MaxMode.ABSOLUTE] * 3):
-        rows = bootstrap._replicate_rows(plan, n, seed.child_rngs(b), b)
+        rows = np.empty((b, n))
+        bootstrap._fill_rows(plan, seed.child_rngs(b), rows)
         batch = reduce(bootstrap._centered_values(data, plan), rows, mode is MaxMode.ABSOLUTE)
         law = bootstrap.bootstrap_distribution(data, plan, mode, seed)
         if not np.array_equal(np.sort(batch), law.sample):
@@ -180,4 +203,4 @@ def test_reduction_is_position_and_batch_free_at_two_blas_threads(blas_threads):
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        _kernels.max_reduce(np.zeros((4, 2)), np.zeros((3, 5)), False)
+        reduce_rows(np.zeros((4, 2)), np.zeros((3, 5)), False)

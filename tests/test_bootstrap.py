@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from maxboot import _kernels, bootstrap
 from maxboot.bootstrap import (
     GAUSSIAN,
     MAMMEN,
@@ -13,7 +16,7 @@ from maxboot.bootstrap import (
     RADEMACHER,
     BootstrapPlan,
     _bounded_integers,
-    _replicate_rows,
+    _fill_rows,
     bootstrap_distribution,
     bootstrap_stat_once,
     draw_multipliers,
@@ -24,7 +27,7 @@ from maxboot.bootstrap import (
 )
 from maxboot.datagen import DataMatrix
 from maxboot.rng import SeedSpec
-from maxboot.stat_core import MaxMode
+from maxboot.stat_core import EmpiricalDistribution, MaxMode
 
 from conftest import oracle_row, seed
 
@@ -171,7 +174,8 @@ def test_replicate_rows_equal_numpy_per_row_draws(n, b):
         # without rows that numpy redraws, the rewind path would go untested
         assert redrawing_streams(n, spec, 40) == 2
     for plan in ALL_PLANS:
-        rows = _replicate_rows(plan, n, spec.child_rngs(b), b)
+        rows = np.empty((b, n))
+        _fill_rows(plan, spec.child_rngs(b), rows)
         for r in range(b):
             expect = oracle_row(plan, n, spec.child(r).rng())
             assert rows[r].tobytes() == expect.tobytes(), (plan.name, r)
@@ -279,6 +283,57 @@ def test_b_reps_one_matches_stat_once_substream():
         d = bootstrap_distribution(data, plan, MaxMode.ONE_SIDED, seed(25))
         one = bootstrap_stat_once(data, plan, MaxMode.ONE_SIDED, seed(25).child(0))
         assert d.sample[0] == one
+
+
+@pytest.mark.parametrize(
+    "n, p, b, thread_control",
+    [(57, 33, b, True) for b in (1, 63, 64, 65, 130)] + [(57, 33, 130, False), (20001, 3, 65, True)],
+)
+def test_every_replicate_at_tile_boundaries_matches_stat_once(n, p, b, thread_control, monkeypatch):
+    # replicate r of the tiled walk, read before the law sorts it, against
+    # replicate r drawn and reduced alone
+    spec = SeedSpec(7).child(2, n)
+    if n == 20001:
+        # a stream that numpy redraws must fall inside the walk
+        assert redrawing_streams(n, spec, b) >= 1
+    if not thread_control:
+        monkeypatch.setattr(_kernels, "_blas_threads", lambda: None)
+    walked = []
+
+    def record(stats):
+        walked.append(np.array(stats))
+        return EmpiricalDistribution(stats)
+
+    monkeypatch.setattr(bootstrap, "EmpiricalDistribution", record)
+    data = DataMatrix(np.random.default_rng(n).gamma(1.0, 1.0, (n, p)), known_mean=np.ones(p))
+    for plan in ALL_PLANS:
+        plan = dataclasses.replace(plan, b_reps=b)
+        for mode in MaxMode:
+            law = bootstrap_distribution(data, plan, mode, spec)
+            (stats,) = walked
+            walked.clear()
+            once = np.array([bootstrap_stat_once(data, plan, mode, spec.child(r)) for r in range(b)])
+            assert stats.tobytes() == once.tobytes(), (plan.name, mode, np.flatnonzero(stats != once))
+            assert law.sample.tobytes() == np.sort(once).tobytes()
+
+
+@pytest.mark.parametrize("plan", ALL_PLANS, ids=lambda plan: plan.name)
+def test_no_law_holds_a_block_of_weight_rows(plan):
+    # the walk holds tiles of weight rows, never all b of them: the peak of
+    # one law above its centered matrix stays below one (b, n) float block
+    n, p, b = 200, 400, 500
+    plan = dataclasses.replace(plan, b_reps=b)
+    data = DataMatrix(np.random.default_rng(3).gamma(1.0, 1.0, (n, p)), known_mean=np.ones(p))
+    # the first call resolves the lazy caches (BLAS thread control, the
+    # stream-state layout check)
+    bootstrap_distribution(data, plan, MaxMode.ONE_SIDED, seed(40))
+    tracemalloc.start()
+    try:
+        bootstrap_distribution(data, plan, MaxMode.ONE_SIDED, seed(41))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - n * p * 8 < 8 * b * n
 
 
 def test_determinism_across_runs_and_threads():
