@@ -8,10 +8,10 @@ and identical under any evaluation order or batching.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import logging
 import math
-from collections.abc import Iterable
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,17 +149,16 @@ class BootstrapPlan:
 
 def _centered_values(data: DataMatrix, plan: BootstrapPlan) -> np.ndarray:
     if plan.center_by_sample_mean:
-        return data.values - data.values.mean(axis=0)
-    if data.known_mean is not None:
-        return data.values - data.known_mean
-    logger.warning(
-        "mixed wild bootstrap without a known mean: falling back to sample-mean centering"
-    )
-    return data.values - data.values.mean(axis=0)
+        return data.centered(at_known_mean=False)
+    if data.known_mean is None:
+        logger.warning(
+            "mixed wild bootstrap without a known mean: falling back to sample-mean centering"
+        )
+    return data.centered(at_known_mean=data.known_mean is not None)
 
 
-def _bounded_integers(k: int, n: int, rngs: Iterable[np.random.Generator], b: int) -> np.ndarray:
-    """Row r holds ``rng.integers(0, k, n)`` of the r-th stream, 2 <= k < 2**31.
+def _bounded_integers(k: int, n: int, rngs: Iterator[np.random.Generator], b: int) -> np.ndarray:
+    """Row r holds ``rng.integers(0, k, n)`` of stream r of the next b, 2 <= k < 2**31.
 
     Each stream makes one ``random_raw`` fill of ceil(n/2) 64-bit words.  For
     a range below 2**32, numpy draws each integer from one 32-bit half of a
@@ -175,7 +174,7 @@ def _bounded_integers(k: int, n: int, rngs: Iterable[np.random.Generator], b: in
     threshold = (1 << 32) % k
     low, k32 = np.empty(n, dtype=np.uint32), np.uint32(k)
     redrawn = {}
-    for r, rng in enumerate(rngs):
+    for r, rng in zip(range(b), rngs):
         bitgen = rng.bit_generator
         words[r] = bitgen.random_raw(words.shape[1])
         if threshold and np.multiply(halves[r], k32, out=low).min() < threshold:
@@ -189,8 +188,10 @@ def _bounded_integers(k: int, n: int, rngs: Iterable[np.random.Generator], b: in
     return index
 
 
-def _fill_rows(plan: BootstrapPlan, rngs: Iterable[np.random.Generator], out: np.ndarray) -> None:
-    """Fill the (k, n) array out with one weight row per stream of rngs.
+def _fill_rows(kind: MultiplierKind | None, rngs: Iterator[np.random.Generator], out: np.ndarray) -> None:
+    """Fill the (k, n) array out with the weight rows of law ``kind`` (None
+    for the empirical bootstrap), one row from each of the next k streams of
+    rngs; the stream after them is left untaken.
 
     The wild schemes' weights are the multipliers.  The empirical bootstrap's
     are the multinomial counts of its resampled indices: summing the
@@ -211,7 +212,6 @@ def _fill_rows(plan: BootstrapPlan, rngs: Iterable[np.random.Generator], out: np
     there.
     """
     k, n = out.shape
-    kind = plan.multiplier
     if kind is None:
         # row r counts how often each of the n rows occurs in resample r
         index = _bounded_integers(n, n, rngs, k)
@@ -222,13 +222,13 @@ def _fill_rows(plan: BootstrapPlan, rngs: Iterable[np.random.Generator], out: np
         np.take(_SIGNS, _bounded_integers(2, n, rngs, k), out=out, mode="clip")
         return
     if kind.name == "gaussian":
-        for r, rng in enumerate(rngs):
+        for r, rng in zip(range(k), rngs):
             rng.standard_normal(out=out[r])
         return
     # a two-value table lookup ("clip" skips the bounds check) is several
     # times faster than a masked assignment, whose branch a random mask defeats
     if kind.name == "mammen":
-        for r, rng in enumerate(rngs):
+        for r, rng in zip(range(k), rngs):
             rng.random(out=out[r])
         plus = out < MAMMEN_PROB_PLUS
         np.take(_MAMMEN_VALUES, plus.view(np.uint8), out=out, mode="clip")
@@ -238,7 +238,7 @@ def _fill_rows(plan: BootstrapPlan, rngs: Iterable[np.random.Generator], out: np
     branch = np.empty((k, n))
     uniform = np.empty(n)
     plus = np.empty((k, n), dtype=bool)
-    for r, rng in enumerate(rngs):
+    for r, rng in zip(range(k), rngs):
         rng.random(out=branch[r])
         rng.standard_normal(out=out[r])
         np.less(rng.random(out=uniform), MAMMEN_PROB_PLUS, out=plus[r])
@@ -253,22 +253,25 @@ def draw_multipliers(kind: MultiplierKind, n: int, seed: SeedSpec) -> np.ndarray
     if n < 1:
         raise ValueError("n must be at least 1")
     row = np.empty((1, n))
-    _fill_rows(BootstrapPlan.wild(kind, 1), [seed.rng()], row)
+    _fill_rows(kind, iter([seed.rng()]), row)
     return row[0]
+
+
+def _replicates(
+    data: DataMatrix, plan: BootstrapPlan, mode: MaxMode, rngs: Iterator[np.random.Generator], b: int
+) -> np.ndarray:
+    """The statistics of b replicates, replicate r drawn from the r-th stream."""
+    if data.n < 2:
+        raise ValueError("bootstrap requires at least two rows")
+    fill = functools.partial(_fill_rows, plan.multiplier, rngs)
+    return _kernels.max_reduce(_centered_values(data, plan), fill, b, mode is MaxMode.ABSOLUTE)
 
 
 def bootstrap_stat_once(
     data: DataMatrix, plan: BootstrapPlan, mode: MaxMode, seed: SeedSpec
 ) -> float:
     """One draw of the bootstrapped max statistic."""
-    if data.n < 2:
-        raise ValueError("bootstrap requires at least two rows")
-    xc = _centered_values(data, plan)
-
-    def fill(rows: np.ndarray) -> None:
-        _fill_rows(plan, [seed.rng()], rows)
-
-    return float(_kernels.max_reduce(xc, fill, 1, mode is MaxMode.ABSOLUTE)[0])
+    return float(_replicates(data, plan, mode, iter([seed.rng()]), 1)[0])
 
 
 def bootstrap_distribution(
@@ -280,13 +283,5 @@ def bootstrap_distribution(
     reduction's tiles, and neither the tiling nor the batch size changes any
     individual replicate's value.
     """
-    if data.n < 2:
-        raise ValueError("bootstrap requires at least two rows")
-    xc = _centered_values(data, plan)
-    rngs = seed.child_rngs(plan.b_reps)
-
-    def fill(rows: np.ndarray) -> None:
-        _fill_rows(plan, itertools.islice(rngs, len(rows)), rows)
-
-    stats = _kernels.max_reduce(xc, fill, plan.b_reps, mode is MaxMode.ABSOLUTE)
+    stats = _replicates(data, plan, mode, seed.child_rngs(plan.b_reps), plan.b_reps)
     return EmpiricalDistribution(stats)

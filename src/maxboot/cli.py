@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import json
 import logging
+import os
 import sys
 
 import numpy as np
@@ -51,7 +52,7 @@ _RUN_KEYS = {
     "mode": (str, "onesided", ("onesided", "abs"), None),
     "schemes": (str, "g,m,r,e", None, "comma list: g,m,r,e,mix[:p0]"),
     "seed": (int, 20250808, None, None),
-    "jobs": (int, 1, None, "parallel workers over outer replicates"),
+    "jobs": (int, 1, None, "parallel workers over truth and outer replicates"),
     "format": (str, "csv", ("csv", "json"), None),
     "out": (str, None, None, "results path (default stdout)"),
     "figure_data": (str, None, None, "per-replicate KS CSV path"),
@@ -144,8 +145,11 @@ def _resolve(values: dict) -> ExperimentConfig:
     replicate runs."""
     _blocks(0, values["jobs"])
     SeedSpec(values["seed"])
-    check_destination(values["out"])
-    check_destination(values["figure_data"])
+    out, figure_data = values["out"], values["figure_data"]
+    check_destination(out)
+    check_destination(figure_data)
+    if out not in (None, "-") and figure_data and os.path.realpath(out) == os.path.realpath(figure_data):
+        raise ValueError(f"--out {out!r} and --figure-data {figure_data!r} name the same file")
     structure = Dependence.EQUICORRELATED if values["experiment"] == "I" else Dependence.AR1
     return ExperimentConfig(
         copula=CopulaSpec(structure, values["rho"], values["shape"]),

@@ -98,6 +98,14 @@ class DataMatrix:
     def p(self) -> int:
         return self.values.shape[1]
 
+    def centered(self, at_known_mean: bool) -> np.ndarray:
+        """The values minus the known mean, or minus the column sample means."""
+        if not at_known_mean:
+            return self.values - self.values.mean(axis=0)
+        if self.known_mean is None:
+            raise ValueError("centering at the known mean requires data.known_mean")
+        return self.values - self.known_mean
+
 
 def gamma_quantile(u, shape_alpha: float):
     """The gamma(shape, 1) quantile function, inverse of ``special.gammainc``.

@@ -11,7 +11,6 @@ estimate different population quantities.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -77,18 +76,10 @@ class RateCertificate:
     b_n: float
 
 
-def _center(data: DataMatrix, center: Centering) -> np.ndarray:
-    if center is Centering.KNOWN_MEAN:
-        if data.known_mean is None:
-            raise ValueError("KnownMean centering requires data.known_mean")
-        return data.values - data.known_mean
-    return data.values - data.values.mean(axis=0)
-
-
 def estimate_moment_summary(data: DataMatrix, center: Centering) -> MomentSummary:
     if data.n < 2:
         raise ValueError("need at least two rows")
-    xc = np.abs(_center(data, center))
+    xc = np.abs(data.centered(center is Centering.KNOWN_MEAN))
     # max over columns of the row-averaged |.|^m, to the 1/m.  This is also the
     # plug-in of (1/n) sum_i max_j E|.|^m and of E max_j (1/n) sum_i |.|^m:
     # with E replaced by the average over rows both reduce to it
@@ -159,11 +150,7 @@ def _mean_tensor(xc: np.ndarray, order: int) -> np.ndarray:
 
 
 def moment_tensor_diff_max(
-    data: DataMatrix,
-    plan: BootstrapPlan,
-    order: int,
-    b_reps_for_nu: int = 0,
-    seed: SeedSpec | None = None,
+    data: DataMatrix, plan: BootstrapPlan, order: int, seed: SeedSpec | None = None
 ) -> float:
     """Sup-norm gap between the sample moment tensor and its exact
     conditional bootstrap counterpart.
@@ -171,25 +158,23 @@ def moment_tensor_diff_max(
     For wild schemes the bootstrap tensor is E W^m times the sample tensor,
     so the gap equals |1 - E W^m| times the sample tensor's sup norm; for
     the empirical bootstrap the two tensors are the same object and the gap
-    is zero.  When ``b_reps_for_nu`` is positive, a Monte Carlo estimate of
-    the bootstrap tensor is computed from that many replicates and checked
+    is zero.  When a seed is given, a Monte Carlo estimate of the bootstrap
+    tensor is computed from the plan's ``b_reps`` replicates and checked
     against the closed form (6 standard errors); this guards the closed
     form, the returned value is always the exact one.
     """
     _tensor_guard(order, data.p)
     if data.n < 2:
         raise ValueError("need at least two rows")
-    mu_hat = _mean_tensor(data.values - data.values.mean(axis=0), order)
+    mu_hat = _mean_tensor(data.centered(at_known_mean=False), order)
     if plan.multiplier is None:
         nu_hat = mu_hat
     else:
         xc = _centered_values(data, plan)
         nu_hat = multiplier_moment(plan.multiplier, order) * _mean_tensor(xc, order)
 
-    if b_reps_for_nu > 0:
-        if seed is None:
-            raise ValueError("Monte Carlo cross-check requires a seed")
-        mc_mean, mc_se = bootstrap_moment_tensor_mc(data, plan, order, b_reps_for_nu, seed)
+    if seed is not None:
+        mc_mean, mc_se = bootstrap_moment_tensor_mc(data, plan, order, seed)
         if np.any(np.abs(mc_mean - nu_hat) > 6.0 * mc_se + 1e-9):
             raise RuntimeError(
                 "Monte Carlo bootstrap tensor disagrees with the closed form "
@@ -199,34 +184,32 @@ def moment_tensor_diff_max(
 
 
 def bootstrap_moment_tensor_mc(
-    data: DataMatrix,
-    plan: BootstrapPlan,
-    order: int,
-    b_reps: int,
-    seed: SeedSpec,
+    data: DataMatrix, plan: BootstrapPlan, order: int, seed: SeedSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo mean and standard error of the conditional bootstrap
-    moment tensor (1/n) sum_i (X*_i)^(x order) over b_reps replicates."""
+    moment tensor (1/n) sum_i (X*_i)^(x order) over the plan's ``b_reps``
+    replicates, replicate r drawn from ``seed.child(r)``."""
     _tensor_guard(order, data.p)
     xc = _centered_values(data, plan)
     # per-row rank-one tensors, stacked: shape (n, p, ..., p)
     stack_spec = {2: "ia,ib->iab", 3: "ia,ib,ic->iabc", 4: "ia,ib,ic,id->iabcd"}[order]
     row_tensors = np.einsum(stack_spec, *([xc] * order))
 
+    b = plan.b_reps
     total = np.zeros(row_tensors.shape[1:])
     total_sq = np.zeros_like(total)
-    rngs = seed.child_rngs(b_reps)
-    block = np.empty((min(4096, b_reps), data.n))
-    for done in range(0, b_reps, 4096):
-        weights = block[: min(4096, b_reps - done)]
-        _fill_rows(plan, itertools.islice(rngs, len(weights)), weights)
+    rngs = seed.child_rngs(b)
+    block = np.empty((min(4096, b), data.n))
+    for done in range(0, b, 4096):
+        weights = block[: min(4096, b - done)]
+        _fill_rows(plan.multiplier, rngs, weights)
         if plan.multiplier is not None:
             # a wild replicate weights row i's tensor by W_i^order
             weights **= order
         reps = np.einsum("ri,i...->r...", weights, row_tensors) / data.n
         total += reps.sum(axis=0)
         total_sq += (reps**2).sum(axis=0)
-    mean = total / b_reps
-    var = np.maximum(total_sq / b_reps - mean**2, 0.0)
-    se = np.sqrt(var / b_reps)
+    mean = total / b
+    var = np.maximum(total_sq / b - mean**2, 0.0)
+    se = np.sqrt(var / b)
     return mean, se

@@ -183,10 +183,10 @@ def _seated(batches: Iterator[np.ndarray]) -> Iterator[np.random.Generator]:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Identifies one random stream by ``(master_seed, stream_index, path)``.
+    """Identifies one random stream by ``(master_seed, path)``.
 
-    Each integer is split into little-endian 32-bit words (one word below
-    2**32) and the words, concatenated, are the entropy of numpy's
+    The integers of ``(master_seed, 0, *path)``, each split into little-endian
+    32-bit words (one word below 2**32), are the entropy of numpy's
     SeedSequence.  Two specs give independent streams when their word lists
     differ, but SeedSequence pads entropy with zero words up to its
     four-word pool, so lists that differ only by trailing zeros within the
@@ -196,21 +196,25 @@ class SeedSpec:
     """
 
     master_seed: int
-    stream_index: int = 0
-    path: tuple[int, ...] = field(default=())
+    path: tuple[int, ...] = field(default=(), kw_only=True)
 
     def __post_init__(self) -> None:
-        if self.master_seed < 0 or self.stream_index < 0:
+        if min((self.master_seed, *self.path)) < 0:
             raise ValueError("seed components must be nonnegative integers")
+
+    @property
+    def _keys(self) -> tuple[int, ...]:
+        # the zero word keeps every stream, and so every output byte, as it was
+        # when specs also carried a stream index, which was always 0
+        return (self.master_seed, 0, *self.path)
 
     def child(self, *keys: int) -> "SeedSpec":
         """Derive a keyed substream (e.g. one per bootstrap replicate)."""
-        return SeedSpec(self.master_seed, self.stream_index, self.path + tuple(keys))
+        return SeedSpec(self.master_seed, path=self.path + tuple(keys))
 
     def rng(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        entropy = (self.master_seed, self.stream_index) + self.path
-        return np.random.default_rng(np.random.SeedSequence(entropy))
+        return np.random.default_rng(np.random.SeedSequence(self._keys))
 
     def child_rngs(self, count: int) -> Iterator[np.random.Generator]:
         """The streams of ``child(0)`` to ``child(count - 1)``, in order.
@@ -224,9 +228,7 @@ class SeedSpec:
         """
         if not 0 <= count <= 1 << 32:
             raise ValueError("count must lie in [0, 2**32]")
-        prefix = [
-            w for key in (self.master_seed, self.stream_index) + self.path for w in _words(key)
-        ]
+        prefix = [w for key in self._keys for w in _words(key)]
         return _seated(_state_batches(prefix, count))
 
 

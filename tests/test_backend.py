@@ -169,10 +169,10 @@ for p in (100, 400):
             if not np.array_equal(reduce(xc, w[:k], absolute), full[:k]):
                 problems.append(f"p {p} prefix {k} differs from the full batch")
     data = DataMatrix(rng.standard_gamma(1.0, (n, p)), known_mean=np.ones(p))
-    seed = SeedSpec(20250808, p)
+    seed = SeedSpec(20250808).child(p)
     for plan, mode in zip(plans, [MaxMode.ONE_SIDED, MaxMode.ABSOLUTE] * 3):
         rows = np.empty((b, n))
-        bootstrap._fill_rows(plan, seed.child_rngs(b), rows)
+        bootstrap._fill_rows(plan.multiplier, seed.child_rngs(b), rows)
         batch = reduce(bootstrap._centered_values(data, plan), rows, mode is MaxMode.ABSOLUTE)
         law = bootstrap.bootstrap_distribution(data, plan, mode, seed)
         if not np.array_equal(np.sort(batch), law.sample):

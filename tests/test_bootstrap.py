@@ -175,10 +175,34 @@ def test_replicate_rows_equal_numpy_per_row_draws(n, b):
         assert redrawing_streams(n, spec, 40) == 2
     for plan in ALL_PLANS:
         rows = np.empty((b, n))
-        _fill_rows(plan, spec.child_rngs(b), rows)
+        _fill_rows(plan.multiplier, spec.child_rngs(b), rows)
         for r in range(b):
             expect = oracle_row(plan, n, spec.child(r).rng())
             assert rows[r].tobytes() == expect.tobytes(), (plan.name, r)
+
+
+@pytest.mark.parametrize("plan", ALL_PLANS, ids=lambda plan: plan.name)
+@pytest.mark.parametrize("n", [57, 20001])
+def test_fill_rows_takes_exactly_one_stream_per_row(plan, n):
+    # k rows take streams 0 to k-1 of the walk and leave stream k untaken,
+    # also when the mixed law draws three times from each, and when
+    # _bounded_integers rewinds and redraws a stream
+    spec = SeedSpec(7).child(2, n)
+    if n == 20001:
+        # streams 15 and 35 redraw; 35 ends the second fill
+        assert redrawing_streams(n, spec, 36) == 2
+    rngs = spec.child_rngs(100)
+    taken = 0
+    for k in (1, 34, 3):
+        rows = np.empty((k, n))
+        _fill_rows(plan.multiplier, rngs, rows)
+        for r in range(k):
+            expect = oracle_row(plan, n, spec.child(taken + r).rng())
+            assert rows[r].tobytes() == expect.tobytes(), (plan.name, taken + r)
+        taken += k
+        after = next(rngs)
+        assert after.bit_generator.state == spec.child(taken).rng().bit_generator.state
+        taken += 1
 
 
 class RawWords:
@@ -411,7 +435,7 @@ def test_wild_conditional_moment_match():
             target = multiplier_moment(kind, order) * np.einsum(
                 {2: "ia,ib->ab", 3: "ia,ib,ic->abc"}[order], *([xc] * order)
             ) / 4.0
-            mc, se = bootstrap_moment_tensor_mc(data, plan, order, b, seed(30, order))
+            mc, se = bootstrap_moment_tensor_mc(data, plan, order, seed(30, order))
             assert np.all(np.abs(mc - target) <= 4.0 * se + 1e-12)
 
 

@@ -260,6 +260,26 @@ def test_unwritable_output_path_fails_before_the_run(
         assert target.read_text() == "old\n"
 
 
+@pytest.mark.parametrize("exists", [False, True], ids=["new-file", "existing-file"])
+@pytest.mark.parametrize("spelling", ["x.csv", "./x.csv", "absolute"])
+def test_out_and_figure_data_naming_one_file_fail_before_the_run(
+    tmp_path, capsys, monkeypatch, no_run, spelling, exists
+):
+    # the figure data would overwrite the results table, however the one
+    # file is spelled
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "x.csv"
+    if exists:
+        target.write_text("old\n")
+    figure = str(target) if spelling == "absolute" else spelling
+    assert main(["run", "--out", "x.csv", "--figure-data", figure]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --out 'x.csv' and --figure-data {figure!r} name the same file\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["x.csv"] if exists else [])
+    if exists:
+        assert target.read_text() == "old\n"
+
+
 def test_mixed_scheme_with_p0():
     config, _ = build_config(parse_args("--schemes", "mix:0.3,e"))
     assert config.schemes[0].multiplier.p0 == 0.3

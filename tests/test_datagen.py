@@ -197,8 +197,8 @@ def test_skewness_matches_two_over_sqrt_alpha():
 
 def test_bit_identical_reproduction():
     spec = CopulaSpec(Dependence.AR1, 0.5, 2.0)
-    a = sample_gaussian_copula(spec, 64, 16, SeedSpec(5, 9))
-    b = sample_gaussian_copula(spec, 64, 16, SeedSpec(5, 9))
+    a = sample_gaussian_copula(spec, 64, 16, SeedSpec(5).child(9))
+    b = sample_gaussian_copula(spec, 64, 16, SeedSpec(5).child(9))
     assert np.array_equal(a.values, b.values)
 
 
@@ -206,17 +206,17 @@ def test_bit_identical_under_thread_concurrency():
     from concurrent.futures import ThreadPoolExecutor
 
     spec = CopulaSpec(Dependence.EQUICORRELATED, 0.3, 1.0)
-    serial = sample_gaussian_copula(spec, 50, 8, SeedSpec(2, 4))
+    serial = sample_gaussian_copula(spec, 50, 8, SeedSpec(2).child(4))
     with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(sample_gaussian_copula, spec, 50, 8, SeedSpec(2, 4)) for _ in range(4)]
+        futures = [pool.submit(sample_gaussian_copula, spec, 50, 8, SeedSpec(2).child(4)) for _ in range(4)]
         for fut in futures:
             assert np.array_equal(fut.result().values, serial.values)
 
 
 def test_distinct_streams_differ():
     spec = CopulaSpec(Dependence.AR1, 0.5, 2.0)
-    a = sample_gaussian_copula(spec, 32, 4, SeedSpec(5, 0))
-    b = sample_gaussian_copula(spec, 32, 4, SeedSpec(5, 1))
+    a = sample_gaussian_copula(spec, 32, 4, SeedSpec(5).child(0))
+    b = sample_gaussian_copula(spec, 32, 4, SeedSpec(5).child(1))
     assert not np.array_equal(a.values, b.values)
 
 

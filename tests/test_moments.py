@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -197,15 +198,14 @@ def test_tensor_size_guards(rng):
 
 def test_monte_carlo_cross_check_agrees(rng):
     data = DataMatrix(rng.gamma(1.5, 1.0, (8, 2)))
-    for plan in (BootstrapPlan.empirical(), BootstrapPlan.wild(MAMMEN), BootstrapPlan.mixed_wild(0.5)):
-        value = moment_tensor_diff_max(data, plan, 3, b_reps_for_nu=20_000, seed=seed(40))
+    b = 20_000
+    for plan in (
+        BootstrapPlan.empirical(b),
+        BootstrapPlan.wild(MAMMEN, b),
+        BootstrapPlan.mixed_wild(0.5, b),
+    ):
+        value = moment_tensor_diff_max(data, plan, 3, seed=seed(40))
         assert value >= 0.0  # no RuntimeError: MC agrees with the closed form
-
-
-def test_monte_carlo_cross_check_requires_seed(rng):
-    data = DataMatrix(rng.standard_normal((6, 2)))
-    with pytest.raises(ValueError):
-        moment_tensor_diff_max(data, BootstrapPlan.empirical(), 2, b_reps_for_nu=100)
 
 
 @pytest.mark.parametrize(
@@ -218,15 +218,17 @@ def test_monte_carlo_cross_check_requires_seed(rng):
     ids=["empirical", "mammen", "mixed"],
 )
 def test_moment_tensor_mc_draws_replicate_r_from_child_r(plan, at_known_mean):
-    # a loop over seed.child(r).rng() is the reference; 4100 replicates cross
-    # the 4096-replicate chunk boundary.  Only the mixed wild bootstrap centers
-    # at the known mean; the others subtract the sample mean.
+    # a loop over seed.child(r).rng() is the reference; the plan's 4100
+    # replicates cross the 4096-replicate chunk boundary.  Only the mixed
+    # wild bootstrap centers at the known mean; the others subtract the
+    # sample mean.
     from maxboot.moments import bootstrap_moment_tensor_mc
 
     values = np.random.default_rng(5).gamma(1.0, 1.0, (6, 2))
     data = DataMatrix(values, known_mean=np.ones(2))
     xc = values - (data.known_mean if at_known_mean else values.mean(axis=0))
     b, n, s = 4100, 6, seed(41)
+    plan = dataclasses.replace(plan, b_reps=b)
     reps = []
     for r in range(b):
         w = oracle_row(plan, n, s.child(r).rng())
@@ -234,6 +236,6 @@ def test_moment_tensor_mc_draws_replicate_r_from_child_r(plan, at_known_mean):
             w = w**2
         reps.append(np.einsum("i,ia,ib->ab", w, xc, xc) / n)
     reps = np.array(reps)
-    mean, se = bootstrap_moment_tensor_mc(data, plan, 2, b, s)
+    mean, se = bootstrap_moment_tensor_mc(data, plan, 2, s)
     np.testing.assert_allclose(mean, reps.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(se, reps.std(axis=0) / math.sqrt(b), rtol=1e-9)

@@ -9,22 +9,23 @@ from maxboot.datagen import CopulaSpec, Dependence
 from maxboot.harness import ExperimentConfig, run_experiment
 from maxboot.rng import SeedSpec
 
-# master seeds of one, two and three 32-bit words; paths of 0 to 5 keys, so
-# with the child key the entropy runs from 3 words (below the 4-word pool)
-# to 12 words (past it)
+# master seeds of one, two and three 32-bit words; paths of 0 to 6 keys, so
+# with the zero word and the child key the entropy runs from 3 words (below
+# the 4-word pool) to 12 words (past it)
 SPECS = [
     SeedSpec(0),
-    SeedSpec(2**32 + 5, 3),
-    SeedSpec(2**64 + 11, 1, (2,)),
-    SeedSpec(7, 0, (0, 4)),
-    SeedSpec(2**32 + 5, 0, (1, 0, 9)),
-    SeedSpec(0, 2, (5, 6, 7, 8)),
-    SeedSpec(2**70 + 1, 2**33, (3, 0, 2**40, 1, 0)),
+    SeedSpec(2**32 + 5).child(3),
+    SeedSpec(2**64 + 11).child(1, 2),
+    SeedSpec(7).child(0, 0, 4),
+    SeedSpec(2**32 + 5).child(0, 1, 0, 9),
+    SeedSpec(0).child(2, 5, 6, 7, 8),
+    SeedSpec(2**70 + 1).child(2**33, 3, 0, 9, 1, 0),
 ]
 
 
 def spec_id(spec: SeedSpec) -> str:
-    return f"{spec.master_seed}-{spec.stream_index}-{len(spec.path)}"
+    """master seed, first path key (0 for none), number of keys after it"""
+    return f"{spec.master_seed}-{spec.path[0] if spec.path else 0}-{len(spec.path[1:])}"
 
 
 def state_of(gen: np.random.Generator) -> tuple[int, int]:
@@ -55,7 +56,7 @@ def check_match_child_rng(spec, count):
 
 def check_reset_after_odd_32_bit_draws():
     # an odd count of 32-bit draws leaves a buffered half word in the bit generator
-    spec = SeedSpec(42, 0, (1,))
+    spec = SeedSpec(42).child(1)
     for r, gen in enumerate(spec.child_rngs(3)):
         ref = spec.child(r).rng()
         assert gen.bit_generator.state == ref.bit_generator.state
@@ -64,7 +65,7 @@ def check_reset_after_odd_32_bit_draws():
 
 
 def check_batch_crossing():
-    spec = SeedSpec(3, 1, (4,))
+    spec = SeedSpec(3).child(1, 4)
     picked = {0, 4095, 4096, 4097, 8999}
     for r, gen in enumerate(spec.child_rngs(9000)):
         if r in picked:
@@ -159,8 +160,8 @@ def test_mul128_matches_python_ints():
 
 
 def test_state_rows_match_seeded_pcg64():
-    spec = SeedSpec(2**40 + 3, 7, (9,))
-    prefix = [3, 2**8, 7, 9]  # the 32-bit words of 2**40 + 3, then 7 and 9
+    spec = SeedSpec(2**40 + 3).child(7, 9)
+    prefix = [3, 2**8, 0, 7, 9]  # the 32-bit words of 2**40 + 3, the zero word, 7 and 9
     entropy = [np.full(4, w, dtype=np.uint32) for w in prefix] + [np.arange(4, dtype=np.uint32)]
     rows = rng._pcg64_states(entropy)
     assert rows.shape == (4, 4) and rows.dtype == np.uint64 and rows.flags.c_contiguous
@@ -182,6 +183,13 @@ def test_state_write_declined_when_a_word_reads_back_wrong(monkeypatch, word):
 
     monkeypatch.setattr(rng, "_read_seat", one_bit_off)
     assert rng._state_write_ok.__wrapped__() is False
+
+
+def test_negative_seed_or_key_is_rejected():
+    # a negative key has no finite word split, so child_rngs would never end
+    for make in (lambda: SeedSpec(-1), lambda: SeedSpec(1).child(2, -3)):
+        with pytest.raises(ValueError, match="seed components must be nonnegative integers"):
+            make()
 
 
 def test_short_paths_ending_in_zeros_share_a_stream():
