@@ -46,6 +46,8 @@ MAMMEN_PROB_PLUS = (math.sqrt(5.0) - 1.0) / (2.0 * math.sqrt(5.0))
 # two-point laws as (value if the draw fails, value if it succeeds)
 _MAMMEN_VALUES = np.array([MAMMEN_VALUE_MINUS, MAMMEN_VALUE_PLUS])
 _SIGNS = np.array([-1.0, 1.0])
+# each scheme's short spelling and law name; ``BootstrapPlan.parse`` takes either
+_SCHEME_TOKENS = {"g": "gaussian", "m": "mammen", "r": "rademacher", "e": "empirical", "mix": "mixed"}
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,25 @@ class BootstrapPlan:
     @classmethod
     def mixed_wild(cls, p0: float = 0.5, b_reps: int = 500) -> "BootstrapPlan":
         return cls(mixed_multiplier(p0), b_reps)
+
+    @classmethod
+    def parse(cls, token: str, b_reps: int = 500) -> "BootstrapPlan":
+        """The plan a scheme token names: g, m, r, e or mix[:p0], or a law's
+        full name, in any case.  Only the mixed law takes ``:p0``; a bare
+        ``mix`` has ``mixed_multiplier``'s default p0."""
+        token = token.strip().lower()
+        name, _, arg = token.partition(":")
+        law = _SCHEME_TOKENS.get(name, name)
+        if law not in _SCHEME_TOKENS.values():
+            raise ValueError(f"unknown scheme {token!r} (use g, m, r, e, mix[:p0])")
+        try:
+            p0 = float(arg) if arg else mixed_multiplier().p0 if law == "mixed" else None
+            if law == "empirical" and p0 is not None:
+                raise ValueError("the empirical bootstrap takes no p0")
+            multiplier = None if law == "empirical" else MultiplierKind(law, p0)
+        except ValueError:
+            raise ValueError(f"bad scheme {token!r} (use mix[:p0] with p0 a number in (0, 1))") from None
+        return cls(multiplier, b_reps)
 
 
 def _centered_values(data: DataMatrix, plan: BootstrapPlan) -> np.ndarray:

@@ -16,19 +16,18 @@ import dataclasses
 import functools
 import json
 import logging
-import os
 import sys
 
 import numpy as np
 
 from maxboot import theorycheck
-from maxboot.bootstrap import BootstrapPlan, MultiplierKind
+from maxboot.bootstrap import BootstrapPlan
 from maxboot.datagen import CopulaSpec, DataMatrix, Dependence
 from maxboot.harness import (
     ExperimentConfig,
     ExperimentResult,
     _blocks,
-    check_destination,
+    check_destinations,
     emit_figure_data,
     emit_results,
     run_experiment,
@@ -62,20 +61,6 @@ _PRESETS = {
     "desk": {"outer": 100, "truth": 2000, "breps": 200, "p": 100},
     "paper": {"outer": 500, "truth": 5000, "breps": 500, "n": 200, "p": 400},
 }
-
-_SCHEME_ALIASES = {
-    "g": "gaussian",
-    "gaussian": "gaussian",
-    "m": "mammen",
-    "mammen": "mammen",
-    "r": "rademacher",
-    "rademacher": "rademacher",
-    "e": "empirical",
-    "empirical": "empirical",
-    "mix": "mixed",
-    "mixed": "mixed",
-}
-
 
 def _parse_config_file(path: str) -> tuple[dict, dict]:
     """Flat key = value file; # starts a comment; keys match the CLI flags.
@@ -118,44 +103,17 @@ def _parse_config_file(path: str) -> tuple[dict, dict]:
     return values, where
 
 
-def _parse_schemes(spec: str, b_reps: int) -> tuple[BootstrapPlan, ...]:
-    plans = []
-    for token in spec.split(","):
-        token = token.strip().lower()
-        name, _, arg = token.partition(":")
-        kind = _SCHEME_ALIASES.get(name)
-        if kind is None:
-            raise ValueError(f"unknown scheme {token!r} (use g, m, r, e, mix[:p0])")
-        if kind == "empirical":
-            multiplier = None
-        elif kind == "mixed":
-            try:
-                multiplier = MultiplierKind(kind, float(arg) if arg else 0.5)
-            except ValueError:
-                raise ValueError(f"bad scheme {token!r} (use mix[:p0] with p0 a number in (0, 1))") from None
-        else:
-            multiplier = MultiplierKind(kind)
-        plans.append(BootstrapPlan(multiplier, b_reps))
-    return tuple(plans)
-
-
 def _resolve(values: dict) -> ExperimentConfig:
-    """The run's config from resolved key values.  Every range rule the run
-    applies is checked here, by the object that owns it, before any
-    replicate runs."""
+    """The run's config from resolved key values; every rule is checked before
+    any replicate runs, by the module that owns it."""
     _blocks(0, values["jobs"])
-    SeedSpec(values["seed"])
-    out, figure_data = values["out"], values["figure_data"]
-    check_destination(out)
-    check_destination(figure_data)
-    if out not in (None, "-") and figure_data and os.path.realpath(out) == os.path.realpath(figure_data):
-        raise ValueError(f"--out {out!r} and --figure-data {figure_data!r} name the same file")
+    check_destinations(values["out"], values["figure_data"])
     structure = Dependence.EQUICORRELATED if values["experiment"] == "I" else Dependence.AR1
     return ExperimentConfig(
         copula=CopulaSpec(structure, values["rho"], values["shape"]),
         n=values["n"],
         p=values["p"],
-        schemes=_parse_schemes(values["schemes"], values["breps"]),
+        schemes=tuple(BootstrapPlan.parse(token, values["breps"]) for token in values["schemes"].split(",")),
         outer_reps=values["outer"],
         truth_reps=values["truth"],
         master_seed=values["seed"],
@@ -253,7 +211,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--known-mean expects a number or a comma list of numbers, got {args.known_mean!r}"
             ) from None
-        known_mean = np.full(values.shape[1], parts[0]) if len(parts) == 1 else np.array(parts)
+        p = values.shape[1]
+        if len(parts) not in (1, p):
+            raise ValueError(f"--known-mean has {len(parts)} values but the input has {p} column{'s' * (p != 1)}")
+        known_mean = np.full(p, parts[0]) if len(parts) == 1 else np.array(parts)
     data = DataMatrix(values=values, known_mean=known_mean)
     center = Centering.KNOWN_MEAN if args.center == "known" else Centering.SAMPLE_MEAN
     summary = estimate_moment_summary(data, center)

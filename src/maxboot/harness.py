@@ -44,7 +44,7 @@ __all__ = [
     "run_experiment",
     "emit_results",
     "emit_figure_data",
-    "check_destination",
+    "check_destinations",
 ]
 
 logger = logging.getLogger(__name__)
@@ -68,6 +68,7 @@ class ExperimentConfig:
     mode: MaxMode = MaxMode.ONE_SIDED
 
     def __post_init__(self) -> None:
+        SeedSpec(self.master_seed)  # the seed's range rule is SeedSpec's
         if min(self.outer_reps, self.truth_reps) < 1:
             raise ValueError("outer_reps and truth_reps must be at least 1")
         if not 0.0 < self.alpha_level < 1.0:
@@ -95,6 +96,11 @@ class ResultRow:
     mean: float
     std: float
     reps: int
+
+
+def _row_order(row: ResultRow) -> tuple:
+    """The sort key of result rows, in memory and in every file."""
+    return (row.experiment, row.scheme, row.metric)
 
 
 @dataclass(frozen=True)
@@ -211,7 +217,7 @@ def _aggregate(config: ExperimentConfig, per_rep: list) -> ExperimentResult:
                     reps=values.size,
                 )
             )
-    rows.sort(key=lambda row: (row.experiment, row.scheme, row.metric))
+    rows.sort(key=_row_order)
     return ExperimentResult(rows=rows, per_rep_ks=per_rep_ks, per_rep_cover=per_rep_cover)
 
 
@@ -248,14 +254,14 @@ def _fmt(value) -> str:
 def emit_results(rows: list[ResultRow], format: str, path: str | None) -> None:
     """Write aggregated rows as CSV or JSON (floats at 6 significant digits).
 
-    Row order is made deterministic by sorting on (experiment, scheme,
-    metric); ``path=None`` or '-' writes to stdout.
+    Rows are written in the one row order of ``_row_order``;
+    ``path=None`` or '-' writes to stdout.
     """
     if not rows:
         raise ValueError("rows must be nonempty")
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    ordered = sorted(rows, key=lambda row: (row.experiment, row.scheme, row.metric))
+    ordered = sorted(rows, key=_row_order)
     buf = io.StringIO()
     if format == "csv":
         writer = csv.writer(buf, lineterminator="\n")
@@ -289,24 +295,27 @@ def emit_figure_data(per_rep_values: dict[str, np.ndarray], path: str | None) ->
     _write_text(buf.getvalue(), path)
 
 
-def check_destination(path: str | None) -> None:
-    """Fail now, not after the run, when ``path`` is a directory, lies in a
-    directory that does not exist, or cannot be written: an existing file
-    must be writable, and a new file needs a writable directory."""
-    if not path or path == "-":
-        return
-    if os.path.isdir(path):
-        raise ValueError(f"cannot write results to {path!r}: it is a directory")
-    directory = os.path.dirname(path)
-    if directory and not os.path.isdir(directory):
-        raise ValueError(f"cannot write results to {path!r}: directory {directory!r} does not exist")
-    if os.path.exists(path):
-        if not os.access(path, os.W_OK):
-            raise ValueError(f"cannot write results to {path!r}: it is not writable")
-    elif not os.access(directory or ".", os.W_OK | os.X_OK):
-        raise ValueError(
-            f"cannot write results to {path!r}: directory {directory or '.'!r} is not writable"
-        )
+def check_destinations(out: str | None, figure_data: str | None) -> None:
+    """Fail now, not after the run, when the results path ``out`` or the
+    figure-data path is a directory, lies in a directory that does not exist
+    or cannot be written (an existing file must be writable, and a new file
+    needs a writable directory), or when both name one file; None and '-'
+    (stdout) pass."""
+    files = [path for path in (out, figure_data) if path and path != "-"]
+    for path in files:
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write results to {path!r}: it is a directory")
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ValueError(f"cannot write results to {path!r}: directory {directory!r} does not exist")
+        if os.path.exists(path):
+            if not os.access(path, os.W_OK):
+                raise ValueError(f"cannot write results to {path!r}: it is not writable")
+        elif not os.access(directory, os.W_OK | os.X_OK):
+            raise ValueError(f"cannot write results to {path!r}: directory {directory!r} is not writable")
+    if len(files) == 2 and os.path.realpath(out) == os.path.realpath(figure_data):
+        # the figure data would overwrite the results; named as the CLI flags
+        raise ValueError(f"--out {out!r} and --figure-data {figure_data!r} name the same file")
 
 
 def _write_text(text: str, path: str | None) -> None:

@@ -166,15 +166,16 @@ def moment_tensor_diff_max(
     _tensor_guard(order, data.p)
     if data.n < 2:
         raise ValueError("need at least two rows")
-    mu_hat = _mean_tensor(data.centered(at_known_mean=False), order)
-    if plan.multiplier is None:
-        nu_hat = mu_hat
-    else:
-        xc = _centered_values(data, plan)
-        nu_hat = multiplier_moment(plan.multiplier, order) * _mean_tensor(xc, order)
+    sample_xc = data.centered(at_known_mean=False)
+    mu_hat = _mean_tensor(sample_xc, order)
+    # the data as the plan centres them, centred (and warned about) once
+    xc = sample_xc if plan.center_by_sample_mean else _centered_values(data, plan)
+    nu_hat = mu_hat if xc is sample_xc else _mean_tensor(xc, order)
+    if plan.multiplier is not None:
+        nu_hat = multiplier_moment(plan.multiplier, order) * nu_hat
 
     if seed is not None:
-        mc_mean, mc_se = bootstrap_moment_tensor_mc(data, plan, order, seed)
+        mc_mean, mc_se = _moment_tensor_mc(xc, plan, order, seed)
         if np.any(np.abs(mc_mean - nu_hat) > 6.0 * mc_se + 1e-9):
             raise RuntimeError(
                 "Monte Carlo bootstrap tensor disagrees with the closed form "
@@ -190,7 +191,14 @@ def bootstrap_moment_tensor_mc(
     moment tensor (1/n) sum_i (X*_i)^(x order) over the plan's ``b_reps``
     replicates, replicate r drawn from ``seed.child(r)``."""
     _tensor_guard(order, data.p)
-    xc = _centered_values(data, plan)
+    return _moment_tensor_mc(_centered_values(data, plan), plan, order, seed)
+
+
+def _moment_tensor_mc(
+    xc: np.ndarray, plan: BootstrapPlan, order: int, seed: SeedSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """``bootstrap_moment_tensor_mc`` of data that are centred as the plan says."""
+    n = len(xc)
     # per-row rank-one tensors, stacked: shape (n, p, ..., p)
     stack_spec = {2: "ia,ib->iab", 3: "ia,ib,ic->iabc", 4: "ia,ib,ic,id->iabcd"}[order]
     row_tensors = np.einsum(stack_spec, *([xc] * order))
@@ -199,14 +207,14 @@ def bootstrap_moment_tensor_mc(
     total = np.zeros(row_tensors.shape[1:])
     total_sq = np.zeros_like(total)
     rngs = seed.child_rngs(b)
-    block = np.empty((min(4096, b), data.n))
+    block = np.empty((min(4096, b), n))
     for done in range(0, b, 4096):
         weights = block[: min(4096, b - done)]
         _fill_rows(plan.multiplier, rngs, weights)
         if plan.multiplier is not None:
             # a wild replicate weights row i's tensor by W_i^order
             weights **= order
-        reps = np.einsum("ri,i...->r...", weights, row_tensors) / data.n
+        reps = np.einsum("ri,i...->r...", weights, row_tensors) / n
         total += reps.sum(axis=0)
         total_sq += (reps**2).sum(axis=0)
     mean = total / b

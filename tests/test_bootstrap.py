@@ -485,3 +485,38 @@ def test_forced_gaussian_branch_variance():
     z_star = a0 * (z @ x) / math.sqrt(n)
     target_var = a0**2 * (x**2).sum(axis=0) / n
     np.testing.assert_allclose(z_star.var(axis=0), target_var, rtol=0.02)
+
+
+# ---------------------------------------------------------------------------
+# scheme tokens
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "tokens, plan",
+    [
+        (("g", "gaussian", "G", " Gaussian "), BootstrapPlan.wild(GAUSSIAN, 7)),
+        (("m", "mammen", "M", " MAMMEN"), BootstrapPlan.wild(MAMMEN, 7)),
+        (("r", "rademacher", "R", "Rademacher "), BootstrapPlan.wild(RADEMACHER, 7)),
+        (("e", "empirical", "E", " EMPIRICAL "), BootstrapPlan.empirical(7)),
+        (("mix", "mix:", "mixed", "MIX", " Mixed: "), BootstrapPlan.mixed_wild(b_reps=7)),
+        (("mix:0.3", "mixed:0.3", " MIX:0.3 "), BootstrapPlan.mixed_wild(0.3, 7)),
+    ],
+    ids=["gaussian", "mammen", "rademacher", "empirical", "mixed", "mixed-p0"],
+)
+def test_parse_gives_the_constructors_plan(tokens, plan):
+    assert [BootstrapPlan.parse(token, 7) for token in tokens] == [plan] * len(tokens)
+
+
+@pytest.mark.parametrize("token", ["g:0.3", "e:0.2", "r:1", "mammen:0.5", "mix:0", "mix:x"])
+def test_parse_rejects_an_argument_the_law_does_not_take(token):
+    with pytest.raises(ValueError) as err:
+        BootstrapPlan.parse(token, 7)
+    assert str(err.value) == f"bad scheme {token!r} (use mix[:p0] with p0 a number in (0, 1))"
+
+
+@pytest.mark.parametrize("token, shown", [(" ZZ ", "zz"), ("", "")], ids=["zz", "empty"])
+def test_parse_rejects_unknown_tokens(token, shown):
+    with pytest.raises(ValueError) as err:
+        BootstrapPlan.parse(token, 7)
+    assert str(err.value) == f"unknown scheme {shown!r} (use g, m, r, e, mix[:p0])"

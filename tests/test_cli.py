@@ -192,6 +192,8 @@ def no_run(monkeypatch):
         ("alpha", "1.5", "alpha_level must lie in (0, 1)"),
         ("breps", "0", "b_reps must be at least 1"),
         ("schemes", "mix:2", "bad scheme 'mix:2' (use mix[:p0] with p0 a number in (0, 1))"),
+        ("schemes", "g:0.3", "bad scheme 'g:0.3' (use mix[:p0] with p0 a number in (0, 1))"),
+        ("schemes", "e:0.2", "bad scheme 'e:0.2' (use mix[:p0] with p0 a number in (0, 1))"),
         ("jobs", "0", "jobs must be at least 1"),
         ("seed", "-1", "seed components must be nonnegative integers"),
     ],
@@ -278,6 +280,18 @@ def test_out_and_figure_data_naming_one_file_fail_before_the_run(
     assert [p.name for p in tmp_path.iterdir()] == (["x.csv"] if exists else [])
     if exists:
         assert target.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("token", ["g:0.3", "e:0.2"])
+def test_scheme_argument_for_a_law_without_one_fails_before_the_run(
+    tmp_path, capsys, monkeypatch, no_run, token
+):
+    # the token's own message is checked, also at its config-file line, in
+    # test_config_file_range_error_names_file_and_line
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--schemes", f"m,{token}", "--out", "x.csv"]) == 1
+    assert f"{token!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mixed_scheme_with_p0():
@@ -473,6 +487,17 @@ def test_certify_bad_known_mean_names_flag(tmp_path, capsys):
     assert main(["certify", "--input", str(path), "--known-mean", "abc"]) == 1
     err = capsys.readouterr().err
     assert "--known-mean" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("known_mean, p, columns", [("1,2,3", 2, "2 columns"), ("1,2", 1, "1 column")])
+def test_certify_known_mean_of_the_wrong_length_names_the_counts(tmp_path, capsys, known_mean, p, columns):
+    path = tmp_path / "matrix.csv"
+    np.savetxt(path, np.ones((4, p)), delimiter=",")
+    assert main(["certify", "--input", str(path), "--known-mean", known_mean]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    values = len(known_mean.split(","))
+    assert err == f"error: --known-mean has {values} values but the input has {columns}\n"
 
 
 def test_certify_known_center_without_known_mean_names_flag(tmp_path, capsys):

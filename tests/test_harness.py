@@ -16,6 +16,7 @@ from maxboot.harness import (
     run_experiment,
     run_truth,
 )
+from maxboot.rng import SeedSpec
 from maxboot.stat_core import EmpiricalDistribution, MaxMode, two_sample_ks
 
 
@@ -204,6 +205,15 @@ def test_config_validation():
         tiny_config(schemes=())
     with pytest.raises(ValueError):
         tiny_config(schemes=(BootstrapPlan.empirical(5), BootstrapPlan.empirical(9)))
+
+
+def test_negative_master_seed_fails_at_construction():
+    # a library caller learns of a bad seed here, not inside the first dataset
+    with pytest.raises(ValueError) as want:
+        SeedSpec(-1)
+    with pytest.raises(ValueError) as err:
+        tiny_config(master_seed=-1)
+    assert str(err.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

@@ -239,3 +239,15 @@ def test_moment_tensor_mc_draws_replicate_r_from_child_r(plan, at_known_mean):
     mean, se = bootstrap_moment_tensor_mc(data, plan, 2, s)
     np.testing.assert_allclose(mean, reps.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(se, reps.std(axis=0) / math.sqrt(b), rtol=1e-9)
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["closed-form", "with-mc"])
+def test_mixed_fallback_warns_once_per_call(caplog, seeded):
+    # the closed form and the Monte Carlo share one centring of the data
+    data = DataMatrix(np.random.default_rng(6).gamma(1.5, 1.0, (8, 2)))
+    plan = BootstrapPlan.mixed_wild(0.5, 2000)
+    with caplog.at_level("WARNING", logger="maxboot.bootstrap"):
+        moment_tensor_diff_max(data, plan, 2, seed=seed(42) if seeded else None)
+    assert [rec.message for rec in caplog.records] == [
+        "mixed wild bootstrap without a known mean: falling back to sample-mean centering"
+    ]
