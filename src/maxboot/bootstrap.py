@@ -11,14 +11,13 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from maxboot import _kernels
 from maxboot.datagen import DataMatrix
-from maxboot.rng import SeedSpec
+from maxboot.rng import SeedSpec, StreamWalk
 from maxboot.stat_core import EmpiricalDistribution, MaxMode
 
 __all__ = [
@@ -178,41 +177,49 @@ def _centered_values(data: DataMatrix, plan: BootstrapPlan) -> np.ndarray:
     return data.centered(at_known_mean=data.known_mean is not None)
 
 
-def _bounded_integers(k: int, n: int, rngs: Iterator[np.random.Generator], b: int) -> np.ndarray:
-    """Row r holds ``rng.integers(0, k, n)`` of stream r of the next b, 2 <= k < 2**31.
+def _rejected_rows(halves: np.ndarray, k: int) -> np.ndarray:
+    """The rows of the (b, n) uint32 draws ``halves`` in which numpy's
+    ``integers(0, k)`` rejects a draw x and draws again: Lemire's rule,
+    ``(x * k) mod 2**32 < 2**32 mod k``.  Overwrites halves with
+    ``(x * k) mod 2**32``."""
+    threshold = (1 << 32) % k
+    if not threshold:
+        return np.empty(0, dtype=np.intp)
+    np.multiply(halves, np.uint32(k), out=halves)
+    return np.flatnonzero(halves.min(axis=1) < threshold)
+
+
+def _bounded_integers(k: int, n: int, walk: StreamWalk, b: int) -> np.ndarray:
+    """Row r holds ``rng.integers(0, k, n)`` of stream r of the next b of the
+    walk, 2 <= k < 2**31.
 
     Each stream makes one ``random_raw`` fill of ceil(n/2) 64-bit words.  For
     a range below 2**32, numpy draws each integer from one 32-bit half of a
     raw word, low half first, and maps the half x to ``(x * k) >> 32``
-    (Lemire's multiply-shift).  It rejects x and draws again when
-    ``(x * k) mod 2**32 < 2**32 mod k``; a row where that happens is rewound
-    and drawn by ``integers`` itself.  The streams must start with no
-    buffered 32-bit half, as a fresh generator does.
+    (Lemire's multiply-shift).  The rows where numpy would reject a half and
+    draw again (``_rejected_rows``) are found once the tile is filled, and each
+    is drawn by ``integers`` itself from a new generator at the start of its
+    stream.  The streams must start with no buffered 32-bit half, as a fresh
+    generator does.
     """
     words = np.empty((b, (n + 1) // 2), dtype="<u8")
     # a little-endian view splits each word into (low, high) on any host
     halves = words.view("<u4")[:, :n]
-    threshold = (1 << 32) % k
-    low, k32 = np.empty(n, dtype=np.uint32), np.uint32(k)
-    redrawn = {}
-    for r, rng in zip(range(b), rngs):
-        bitgen = rng.bit_generator
-        words[r] = bitgen.random_raw(words.shape[1])
-        if threshold and np.multiply(halves[r], k32, out=low).min() < threshold:
-            bitgen.advance((1 << 128) - words.shape[1])
-            redrawn[r] = rng.integers(0, k, n)
+    first = walk.taken
+    for r, rng in enumerate(walk.take(b)):
+        words[r] = rng.bit_generator.random_raw(words.shape[1])
     index = halves.astype(np.int64)
     index *= k
     index >>= 32
-    for r, row in redrawn.items():
-        index[r] = row
+    for r in _rejected_rows(halves, k):
+        index[r] = walk.restart(first + r).integers(0, k, n)
     return index
 
 
-def _fill_rows(kind: MultiplierKind | None, rngs: Iterator[np.random.Generator], out: np.ndarray) -> None:
+def _fill_rows(kind: MultiplierKind | None, walk: StreamWalk, out: np.ndarray) -> None:
     """Fill the (k, n) array out with the weight rows of law ``kind`` (None
     for the empirical bootstrap), one row from each of the next k streams of
-    rngs; the stream after them is left untaken.
+    the walk; the stream after them is left untaken.
 
     The wild schemes' weights are the multipliers.  The empirical bootstrap's
     are the multinomial counts of its resampled indices: summing the
@@ -235,21 +242,21 @@ def _fill_rows(kind: MultiplierKind | None, rngs: Iterator[np.random.Generator],
     k, n = out.shape
     if kind is None:
         # row r counts how often each of the n rows occurs in resample r
-        index = _bounded_integers(n, n, rngs, k)
+        index = _bounded_integers(n, n, walk, k)
         index += np.arange(0, k * n, n)[:, None]
         out[...] = np.bincount(index.ravel(), minlength=k * n).reshape(k, n)
         return
     if kind.name == "rademacher":
-        np.take(_SIGNS, _bounded_integers(2, n, rngs, k), out=out, mode="clip")
+        np.take(_SIGNS, _bounded_integers(2, n, walk, k), out=out, mode="clip")
         return
     if kind.name == "gaussian":
-        for r, rng in zip(range(k), rngs):
+        for r, rng in enumerate(walk.take(k)):
             rng.standard_normal(out=out[r])
         return
     # a two-value table lookup ("clip" skips the bounds check) is several
     # times faster than a masked assignment, whose branch a random mask defeats
     if kind.name == "mammen":
-        for r, rng in zip(range(k), rngs):
+        for r, rng in enumerate(walk.take(k)):
             rng.random(out=out[r])
         plus = out < MAMMEN_PROB_PLUS
         np.take(_MAMMEN_VALUES, plus.view(np.uint8), out=out, mode="clip")
@@ -259,7 +266,7 @@ def _fill_rows(kind: MultiplierKind | None, rngs: Iterator[np.random.Generator],
     branch = np.empty((k, n))
     uniform = np.empty(n)
     plus = np.empty((k, n), dtype=bool)
-    for r, rng in zip(range(k), rngs):
+    for r, rng in enumerate(walk.take(k)):
         rng.random(out=branch[r])
         rng.standard_normal(out=out[r])
         np.less(rng.random(out=uniform), MAMMEN_PROB_PLUS, out=plus[r])
@@ -274,17 +281,17 @@ def draw_multipliers(kind: MultiplierKind, n: int, seed: SeedSpec) -> np.ndarray
     if n < 1:
         raise ValueError("n must be at least 1")
     row = np.empty((1, n))
-    _fill_rows(kind, iter([seed.rng()]), row)
+    _fill_rows(kind, seed.rng_walk(), row)
     return row[0]
 
 
 def _replicates(
-    data: DataMatrix, plan: BootstrapPlan, mode: MaxMode, rngs: Iterator[np.random.Generator], b: int
+    data: DataMatrix, plan: BootstrapPlan, mode: MaxMode, walk: StreamWalk, b: int
 ) -> np.ndarray:
-    """The statistics of b replicates, replicate r drawn from the r-th stream."""
+    """The statistics of b replicates, replicate r drawn from stream r of the walk."""
     if data.n < 2:
         raise ValueError("bootstrap requires at least two rows")
-    fill = functools.partial(_fill_rows, plan.multiplier, rngs)
+    fill = functools.partial(_fill_rows, plan.multiplier, walk)
     return _kernels.max_reduce(_centered_values(data, plan), fill, b, mode is MaxMode.ABSOLUTE)
 
 
@@ -292,7 +299,7 @@ def bootstrap_stat_once(
     data: DataMatrix, plan: BootstrapPlan, mode: MaxMode, seed: SeedSpec
 ) -> float:
     """One draw of the bootstrapped max statistic."""
-    return float(_replicates(data, plan, mode, iter([seed.rng()]), 1)[0])
+    return float(_replicates(data, plan, mode, seed.rng_walk(), 1)[0])
 
 
 def bootstrap_distribution(

@@ -77,9 +77,14 @@ class ExperimentConfig:
             raise ValueError("need n >= 2 and p >= 1")
         if not self.schemes:
             raise ValueError("at least one bootstrap scheme is required")
-        names = [plan.name for plan in self.schemes]
-        if len(set(names)) != len(names):
-            raise ValueError("scheme names must be unique")
+        for name in dict.fromkeys(plan.name for plan in self.schemes):
+            repeats = [plan for plan in self.schemes if plan.name == name]
+            if len(repeats) > 1:
+                message = f"scheme names must be unique: {name} appears {len(repeats)} times"
+                if name == "mixed":
+                    p0s = [f"{plan.multiplier.p0:g}" for plan in repeats]
+                    message += f", with p0 {', '.join(p0s[:-1])} and {p0s[-1]}"
+                raise ValueError(message)
 
     @property
     def experiment(self) -> str:

@@ -206,11 +206,11 @@ def _moment_tensor_mc(
     b = plan.b_reps
     total = np.zeros(row_tensors.shape[1:])
     total_sq = np.zeros_like(total)
-    rngs = seed.child_rngs(b)
+    walk = seed.child_rngs(b)
     block = np.empty((min(4096, b), n))
     for done in range(0, b, 4096):
         weights = block[: min(4096, b - done)]
-        _fill_rows(plan.multiplier, rngs, weights)
+        _fill_rows(plan.multiplier, walk, weights)
         if plan.multiplier is not None:
             # a wild replicate weights row i's tensor by W_i^order
             weights **= order

@@ -8,7 +8,15 @@ from maxboot.bootstrap import (
     BootstrapPlan,
     mixed_coefficients,
 )
+from maxboot import rng as rng_module
 from maxboot.rng import SeedSpec
+
+
+@pytest.fixture
+def dict_fallback(monkeypatch):
+    """Seat every stream through the ``state`` dict, as on a numpy whose
+    PCG64 layout the check declines."""
+    monkeypatch.setattr(rng_module, "_state_write_ok", lambda: False)
 
 
 @pytest.fixture

@@ -15,8 +15,8 @@ from maxboot.bootstrap import (
     MAMMEN_VALUE_PLUS,
     RADEMACHER,
     BootstrapPlan,
-    _bounded_integers,
     _fill_rows,
+    _rejected_rows,
     bootstrap_distribution,
     bootstrap_stat_once,
     draw_multipliers,
@@ -154,16 +154,17 @@ def test_multiplier_kind_validation():
 # ---------------------------------------------------------------------------
 
 
-def redrawing_streams(n: int, spec: SeedSpec, b: int) -> int:
-    """How many of the streams spec.child(0..b-1) make numpy's integers(0, n, n)
+def redrawing_streams(n: int, spec: SeedSpec, b: int) -> list[int]:
+    """Which of the streams spec.child(0..b-1) make numpy's integers(0, n, n)
     reject a 32-bit draw: Lemire's rule on the halves of the raw words, low
     half first, split arithmetically."""
-    count = 0
+    rows = []
     for r in range(b):
         words = spec.child(r).rng().bit_generator.random_raw((n + 1) // 2)
         halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()[:n]
-        count += bool(np.any((halves * np.uint64(n)) & 0xFFFFFFFF < (1 << 32) % n))
-    return count
+        if np.any((halves * np.uint64(n)) & 0xFFFFFFFF < (1 << 32) % n):
+            rows.append(r)
+    return rows
 
 
 @pytest.mark.parametrize("b", [1, 65, 300])
@@ -171,8 +172,8 @@ def redrawing_streams(n: int, spec: SeedSpec, b: int) -> int:
 def test_replicate_rows_equal_numpy_per_row_draws(n, b):
     spec = SeedSpec(7).child(2, n)
     if n == 20001 and b > 40:
-        # without rows that numpy redraws, the rewind path would go untested
-        assert redrawing_streams(n, spec, 40) == 2
+        # without rows that numpy redraws, the redraw path would go untested
+        assert redrawing_streams(n, spec, 40) == [15, 35]
     for plan in ALL_PLANS:
         rows = np.empty((b, n))
         _fill_rows(plan.multiplier, spec.child_rngs(b), rows)
@@ -186,11 +187,11 @@ def test_replicate_rows_equal_numpy_per_row_draws(n, b):
 def test_fill_rows_takes_exactly_one_stream_per_row(plan, n):
     # k rows take streams 0 to k-1 of the walk and leave stream k untaken,
     # also when the mixed law draws three times from each, and when
-    # _bounded_integers rewinds and redraws a stream
+    # _bounded_integers redraws a stream from a new generator
     spec = SeedSpec(7).child(2, n)
     if n == 20001:
         # streams 15 and 35 redraw; 35 ends the second fill
-        assert redrawing_streams(n, spec, 36) == 2
+        assert redrawing_streams(n, spec, 36) == [15, 35]
     rngs = spec.child_rngs(100)
     taken = 0
     for k in (1, 34, 3):
@@ -205,39 +206,57 @@ def test_fill_rows_takes_exactly_one_stream_per_row(plan, n):
         taken += 1
 
 
-class RawWords:
-    """A stream that serves fixed raw words and records a rewind."""
-
-    def __init__(self, words):
-        self.words = np.array(words, dtype=np.uint64)
-        self.bit_generator = self
-        self.rewound_by = None
-
-    def random_raw(self, size):
-        return self.words[:size]
-
-    def advance(self, delta):
-        self.rewound_by = delta
-
-    def integers(self, low, high, size):
-        return np.full(size, -1)
-
-
-def test_bounded_integers_redraw_exactly_below_the_threshold():
-    # halves 5, x, 9, where (x * k) mod 2**32 lands on either side of the
-    # threshold 2**32 mod k
+def test_rejected_rows_exactly_below_the_threshold():
+    # rows of halves 5, x, 9, where (x * k) mod 2**32 is one below the
+    # threshold 2**32 mod k, and then the threshold itself
     k = 20001
     threshold = (1 << 32) % k
-    for low, redrawn in ((threshold - 1, True), (threshold, False)):
-        x = low * pow(k, -1, 1 << 32) % (1 << 32)
-        stream = RawWords([x << 32 | 5, 9])
-        (row,) = _bounded_integers(k, 3, [stream], 1)
-        if redrawn:
-            assert stream.rewound_by == (1 << 128) - 2
-            assert row.tolist() == [-1, -1, -1]
-        else:
-            assert stream.rewound_by is None
-            assert row.tolist() == [(5 * k) >> 32, (x * k) >> 32, (9 * k) >> 32]
+    x = [low * pow(k, -1, 1 << 32) % (1 << 32) for low in (threshold - 1, threshold)]
+    halves = np.array([[5, x[0], 9], [5, x[1], 9]], dtype=np.uint32)
+    assert _rejected_rows(halves.copy(), k).tolist() == [0]
+    # 2**32 mod k is 0 for a power of two: nothing is ever rejected
+    assert _rejected_rows(halves.copy(), 2).tolist() == []
+
+
+def test_rejected_rows_match_python_ints():
+    # 2**32 mod k is about a third of 2**32, so about a third of the draws
+    # are rejected and most rows hold one
+    k = (1 << 32) // 3 + 1
+    halves = np.random.default_rng(3).integers(0, 1 << 32, (50, 3), dtype=np.uint32)
+    want = [r for r, row in enumerate(halves.tolist()) if any(x * k % (1 << 32) < (1 << 32) % k for x in row)]
+    assert 0 < len(want) < 50
+    assert _rejected_rows(halves.copy(), k).tolist() == want
+
+
+# walks of 128 streams at n 20001, where numpy rejects a draw in these rows
+REDRAW_WALKS = {
+    "tile-position-0": (SeedSpec(4).child(2, 20001), [7, 64, 101, 106]),
+    "tile-position-63": (SeedSpec(11).child(2, 20001), [13, 76, 122, 127]),
+    "two-in-one-tile": (SeedSpec(26).child(2, 20001), [7, 37]),
+}
+
+
+def check_redrawn_rows(spec, redrawn):
+    n, b = 20001, 128
+    assert redrawing_streams(n, spec, b) == redrawn
+    walk, rows = spec.child_rngs(b + 1), np.empty((b, n))
+    for start in range(0, b, _kernels._TILE):
+        _fill_rows(None, walk, rows[start : start + _kernels._TILE])
+    for r in range(b):
+        expect = oracle_row(BootstrapPlan.empirical(), n, spec.child(r).rng())
+        assert rows[r].tobytes() == expect.tobytes(), r
+    # the redraws leave the walk where it was
+    assert next(walk).bit_generator.state == spec.child(b).rng().bit_generator.state
+
+
+@pytest.mark.parametrize("case", REDRAW_WALKS)
+def test_redrawn_rows_equal_numpy_per_row_draws(case):
+    check_redrawn_rows(*REDRAW_WALKS[case])
+
+
+@pytest.mark.parametrize("case", REDRAW_WALKS)
+def test_dict_fallback_redrawn_rows_equal_numpy_per_row_draws(dict_fallback, case):
+    check_redrawn_rows(*REDRAW_WALKS[case])
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +338,7 @@ def test_every_replicate_at_tile_boundaries_matches_stat_once(n, p, b, thread_co
     spec = SeedSpec(7).child(2, n)
     if n == 20001:
         # a stream that numpy redraws must fall inside the walk
-        assert redrawing_streams(n, spec, b) >= 1
+        assert redrawing_streams(n, spec, b)
     if not thread_control:
         monkeypatch.setattr(_kernels, "_blas_threads", lambda: None)
     walked = []

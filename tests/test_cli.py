@@ -153,6 +153,18 @@ def test_mixed_scheme_p0_out_of_range_names_token(capsys, token):
     assert f"'{token}'" in err and "mix[:p0]" in err
 
 
+@pytest.mark.parametrize(
+    "schemes, message",
+    [
+        ("g,mix:0.3,mixed:0.4", "mixed appears 2 times, with p0 0.3 and 0.4"),
+        ("g,e,gaussian,G", "gaussian appears 3 times"),
+    ],
+)
+def test_repeated_law_is_named(capsys, schemes, message):
+    assert main(["run", "--schemes", schemes]) == 1
+    assert capsys.readouterr().err == f"error: scheme names must be unique: {message}\n"
+
+
 def test_mixed_scheme_keeps_breps_error(capsys):
     assert main(["run", "--schemes", "mix", "--breps", "0"]) == 1
     assert "b_reps must be at least 1" in capsys.readouterr().err

@@ -33,13 +33,6 @@ def state_of(gen: np.random.Generator) -> tuple[int, int]:
     return st["state"]["state"], st["state"]["inc"]
 
 
-@pytest.fixture
-def dict_fallback(monkeypatch):
-    """Seat every stream through the ``state`` dict, as on a numpy whose
-    PCG64 layout the check declines."""
-    monkeypatch.setattr(rng, "_state_write_ok", lambda: False)
-
-
 def check_match_child_rng(spec, count):
     seen = 0
     for r, gen in enumerate(spec.child_rngs(count)):
@@ -170,6 +163,21 @@ def test_state_rows_match_seeded_pcg64():
         assert want == {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
 
 
+@pytest.mark.parametrize("path", [(3,), (3, 8), (3, 8, 2**32 - 1)], ids=["3-words", "4-words", "5-words"])
+def test_states_at_the_fold_boundary(path):
+    # with a prefix of 3 words the key word enters the pool's first pass; with
+    # 4 or 5 it is the first or second word past the pool, mixed in after the
+    # prefix has been folded in Python ints
+    spec = SeedSpec(2**32 - 2).child(*path)
+    prefix = [w for key in spec._keys for w in rng._words(key)]
+    assert len(prefix) == 2 + len(path)
+    keys = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint32)
+    rows = rng._pcg64_states(prefix + [keys])
+    for key, (state_lo, state_hi, inc_lo, inc_hi) in zip(keys.tolist(), rows.tolist()):
+        want = spec.child(key).rng().bit_generator.state["state"]
+        assert want == {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
+
+
 @pytest.mark.parametrize("word", range(6))
 def test_state_write_declined_when_a_word_reads_back_wrong(monkeypatch, word):
     # unperturbed, a fresh check gives the cached answer
@@ -201,20 +209,21 @@ def test_short_paths_ending_in_zeros_share_a_stream():
 
 def test_run_experiment_streams_are_distinct(monkeypatch):
     states = []
-    rng, child_rngs = SeedSpec.rng, SeedSpec.child_rngs
+    fresh, seated = SeedSpec.rng, rng._seated
 
     def recording_rng(self):
-        gen = rng(self)
+        gen = fresh(self)
         states.append(state_of(gen))
         return gen
 
-    def recording_child_rngs(self, count):
-        for gen in child_rngs(self, count):
+    def recording_seated(batches):
+        # every step of every child_rngs walk
+        for gen in seated(batches):
             states.append(state_of(gen))
             yield gen
 
     monkeypatch.setattr(SeedSpec, "rng", recording_rng)
-    monkeypatch.setattr(SeedSpec, "child_rngs", recording_child_rngs)
+    monkeypatch.setattr(rng, "_seated", recording_seated)
     config = ExperimentConfig(
         copula=CopulaSpec(Dependence.AR1, 0.2, 1.0),
         n=12,
