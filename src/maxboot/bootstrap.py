@@ -180,8 +180,8 @@ def _centered_values(data: DataMatrix, plan: BootstrapPlan) -> np.ndarray:
 def _rejected_rows(halves: np.ndarray, k: int) -> np.ndarray:
     """The rows of the (b, n) uint32 draws ``halves`` in which numpy's
     ``integers(0, k)`` rejects a draw x and draws again: Lemire's rule,
-    ``(x * k) mod 2**32 < 2**32 mod k``.  Overwrites halves with
-    ``(x * k) mod 2**32``."""
+    ``(x * k) mod 2**32 < 2**32 mod k``.  Where 2**32 mod k is not 0, it
+    overwrites halves with ``(x * k) mod 2**32``."""
     threshold = (1 << 32) % k
     if not threshold:
         return np.empty(0, dtype=np.intp)

@@ -122,14 +122,15 @@ def _pcg64_states(entropy: list) -> np.ndarray:
             pool = _mix(_column(pool), _hashmix(word, _column(xor), _column(mult)))
     consts = _hash_consts(_INIT_B, _MULT_B)
     xor, mult = zip(*(next(consts) for _ in range(2 * _POOL_SIZE)))
-    # eight hashes of pool words 0-3, 0-3; uint64 word j is hashes 2j and 2j+1,
-    # little-endian, and seed and inc are (high, low) pairs of those words
-    w = _hashmix(np.tile(_column(pool), (2, 1)), _column(xor), _column(mult)).astype(np.uint64)
-    u = w[0::2] | w[1::2] << 32
-    seed = (u[1], u[0])
-    inc = (u[3] << 1 | 1, u[2] << 1 | u[3] >> 63)
+    # generate_state's eight hashes, of pool words 0-3 and again 0-3, as one
+    # row per column of entropy; read as little-endian uint64 words, as numpy
+    # reads them, a row is the seed's (high, low) and then the inc's
+    rows = np.tile(_column(pool).T, 2)
+    u = _hashmix(rows, _column(xor).T, _column(mult).T).astype("<u4", copy=False).view("<u8")
+    seed = (u[:, 1], u[:, 0])
+    inc = (u[:, 3] << 1 | 1, u[:, 2] << 1 | u[:, 3] >> 63)
     state = _add128(_mul128(_add128(inc, seed), _PCG_MULT), inc)
-    out = np.empty((u.shape[1], 4), dtype=np.uint64)
+    out = np.empty((len(u), 4), dtype=np.uint64)
     out[:, 0], out[:, 1] = state
     out[:, 2], out[:, 3] = inc
     return out
