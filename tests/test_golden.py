@@ -15,7 +15,6 @@ import contextlib
 import csv
 import io
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +30,10 @@ RUNS = {
     "golden_I_abs": ["--experiment", "I", "--rho", "0.5", "--shape", "2", "--mode", "abs", "--format", "json"],
     "golden_II": ["--experiment", "II", "--rho", "0.2", "--shape", "1", "--seed", "11"],
 }
+
+
+def results_file(name: str) -> str:
+    return name + (".json" if "json" in RUNS[name] else ".csv")
 
 
 def versions() -> dict[str, str]:
@@ -60,7 +63,10 @@ def number(text: str) -> float | str:
 
 
 def first_difference(name: str, got: str, want: str, exact: bool) -> str | None:
-    got_rows, want_rows = (got.splitlines(), want.splitlines()) if exact else (table(name, got), table(name, want))
+    if exact:
+        got_rows, want_rows = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    else:
+        got_rows, want_rows = table(name, got), table(name, want)
     if len(got_rows) != len(want_rows):
         return f"{len(got_rows)} {'lines' if exact else 'rows'}, the file has {len(want_rows)}"
     for i, (g, w) in enumerate(zip(got_rows, want_rows)):
@@ -84,8 +90,7 @@ def test_run_matches_golden_files(name, tmp_path):
     exact = made == now
     figure = tmp_path / "figure.csv"
     stdout = run(name, figure)
-    suffix = ".json" if "--format" in RUNS[name] else ".csv"
-    for file, got in ((name + suffix, stdout), (name + "_figure.csv", figure.read_text())):
+    for file, got in ((results_file(name), stdout), (name + "_figure.csv", figure.read_text())):
         problem = first_difference(file, got, (DATA / file).read_text(), exact)
         assert problem is None, f"{file} {problem} (files made on {made}, run on {now})"
     print(f"{name}: compared {'bytes' if exact else 'values'} (files made on {made}, run on {now})")
@@ -93,8 +98,6 @@ def test_run_matches_golden_files(name, tmp_path):
 
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
-    for name, argv in RUNS.items():
-        suffix = ".json" if "--format" in argv else ".csv"
-        (DATA / (name + suffix)).write_text(run(name, DATA / (name + "_figure.csv")))
+    for name in RUNS:
+        (DATA / results_file(name)).write_text(run(name, DATA / (name + "_figure.csv")))
     VERSIONS.write_text(json.dumps(versions()) + "\n")
-    sys.exit(0)
