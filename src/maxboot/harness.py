@@ -4,9 +4,9 @@ Kolmogorov-Smirnov and coverage metrics, and deterministic file emission.
 Blocks of replicates are the parallel unit.  Both phases of a run, the
 truth law and then the outer replicates, go through one block map, opened
 once per run: the builtin ``map`` at one job, else one worker pool.  Every
-replicate derives its own random substream from the master seed, so results
-are byte-identical at any worker count; aggregation sorts by replicate index
-before reducing.
+replicate derives its own random substream from the master seed, and the
+block map returns the blocks in order, so results are byte-identical at any
+worker count.
 """
 
 from __future__ import annotations
@@ -143,9 +143,8 @@ def _truth_block(config: ExperimentConfig, reps: range) -> list[float]:
 
 
 def _outer_block(
-    config: ExperimentConfig, truth_sample: np.ndarray, reps: range
+    config: ExperimentConfig, truth: EmpiricalDistribution, reps: range
 ) -> list[tuple[list[float], list[bool]]]:
-    truth = EmpiricalDistribution(truth_sample)
     out = []
     for r in reps:
         data, tn = _dataset(config, _DATA, r)
@@ -240,7 +239,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, on_interrupt=None) -
         with _block_map(jobs) as block_map:
             truth = _truth_law(config, block_map, jobs)
             logger.info("running %d outer replicates", config.outer_reps)
-            fn = functools.partial(_outer_block, config, truth.sample)
+            fn = functools.partial(_outer_block, config, truth)
             _walk(block_map, fn, _blocks(config.outer_reps, jobs), per_rep, "outer")
     except KeyboardInterrupt:
         if per_rep and on_interrupt is not None:
@@ -304,8 +303,11 @@ def check_destinations(out: str | None, figure_data: str | None) -> None:
     """Fail now, not after the run, when the results path ``out`` or the
     figure-data path is a directory, lies in a directory that does not exist
     or cannot be written (an existing file must be writable, and a new file
-    needs a writable directory), or when both name one file; None and '-'
-    (stdout) pass."""
+    needs a writable directory), or when a path is empty or both name one
+    file; None and '-' (stdout) pass."""
+    for flag, path in (("--out", out), ("--figure-data", figure_data)):
+        if path == "":
+            raise ValueError(f"{flag} is an empty path")
     files = [path for path in (out, figure_data) if path and path != "-"]
     for path in files:
         if os.path.isdir(path):

@@ -20,7 +20,6 @@ from maxboot.rng import SeedSpec
 from maxboot.stat_core import EmpiricalDistribution, concentration_fn, smooth_max, softmax_weights
 
 __all__ = [
-    "DerivativeTensor",
     "CheckReport",
     "L1_BOUNDS",
     "fbeta_derivative",
@@ -38,15 +37,11 @@ L1_BOUNDS = {1: 1.0, 2: 2.0, 3: 6.0, 4: 26.0}
 
 _MAX_TENSOR_P = 16
 
+# largest dimension the sandwich and l1 sweeps draw
+_SANDWICH_P_MAX, _L1_P_MAX = 1000, 8
+
 # fewest Monte Carlo maxima the anti-concentration check accepts
 _MIN_MC_REPS = 10_000
-
-
-@dataclass(frozen=True)
-class DerivativeTensor:
-    """Dense, fully symmetric derivative tensor of the smooth max."""
-
-    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -84,8 +79,8 @@ def _diag_embed(v: np.ndarray, order: int) -> np.ndarray:
     return t
 
 
-def fbeta_derivative(z: np.ndarray, beta: float, order: int) -> DerivativeTensor:
-    """Closed-form derivative tensor of the smooth max, orders 1 through 4.
+def fbeta_derivative(z: np.ndarray, beta: float, order: int) -> np.ndarray:
+    """Dense, symmetric derivative tensor of the smooth max, orders 1 to 4.
 
     Built from the softmax weights pi: the gradient is pi itself, and each
     higher order is the stated signed, symmetrized combination of diagonal
@@ -116,7 +111,7 @@ def fbeta_derivative(z: np.ndarray, beta: float, order: int) -> DerivativeTensor
         d211 = _sym(np.einsum("ab,c,d->abcd", d2, pi, pi))
         d1111 = _sym(np.einsum("a,b,c,d->abcd", pi, pi, pi, pi))
         core = d4 - 4.0 * d31 - 3.0 * d22 + 12.0 * d211 - 6.0 * d1111
-    return DerivativeTensor(beta ** (order - 1) * core)
+    return beta ** (order - 1) * core
 
 
 def _fd_step(order: int) -> float:
@@ -170,12 +165,12 @@ def _random_z(rng: np.random.Generator, p: int) -> np.ndarray:
     return scale * rng.standard_normal(p)
 
 
-def check_smoothmax_sandwich(trials: int, p_max: int, seed: SeedSpec) -> CheckReport:
+def check_smoothmax_sandwich(trials: int, seed: SeedSpec) -> CheckReport:
     """0 <= F_beta(z) - max(z) <= log(p)/beta on random inputs."""
     rng = seed.rng()
     worst = -math.inf
     for _ in range(trials):
-        p = int(rng.integers(1, p_max + 1))
+        p = int(rng.integers(1, _SANDWICH_P_MAX + 1))
         beta = 10.0 ** rng.uniform(-2.0, 2.0)
         z = _random_z(rng, p)
         fb = smooth_max(z, beta)
@@ -191,19 +186,17 @@ def check_smoothmax_sandwich(trials: int, p_max: int, seed: SeedSpec) -> CheckRe
     )
 
 
-def check_l1_bounds(trials: int, p_max: int, seed: SeedSpec) -> CheckReport:
+def check_l1_bounds(trials: int, seed: SeedSpec) -> CheckReport:
     """l1 norms of beta^(1-m) F^(m) never exceed 1, 2, 6, 26 for m = 1..4."""
-    if p_max > _MAX_TENSOR_P:
-        raise ValueError(f"p_max must be at most {_MAX_TENSOR_P}")
     rng = seed.rng()
     worst = -math.inf
     max_ratio = 0.0
     for _ in range(trials):
-        p = int(rng.integers(1, p_max + 1))
+        p = int(rng.integers(1, _L1_P_MAX + 1))
         beta = 10.0 ** rng.uniform(-1.0, 1.0)
         z = _random_z(rng, p)
         for m in (1, 2, 3, 4):
-            l1 = float(np.abs(fbeta_derivative(z, beta, m).entries).sum()) * beta ** (1 - m)
+            l1 = float(np.abs(fbeta_derivative(z, beta, m)).sum()) * beta ** (1 - m)
             worst = max(worst, l1 - L1_BOUNDS[m])
             max_ratio = max(max_ratio, l1 / L1_BOUNDS[m])
     return CheckReport(
@@ -314,26 +307,20 @@ def check_lindeberg_permutation(n: int, p: int, f: str, seed: SeedSpec) -> Check
     )
 
 
-def check_gaussian_anticoncentration(
-    p: int,
-    sigma_lower: float,
-    eps: float,
-    mc_reps: int,
-    seed: SeedSpec,
-) -> CheckReport:
-    """Interval mass of a Gaussian maximum versus the closed-form bound
-    (eps/sigma) (4 + sqrt(2 log(p sigma / eps))).
+def check_gaussian_anticoncentration(p: int, eps: float, mc_reps: int, seed: SeedSpec) -> CheckReport:
+    """Interval mass of the maximum of p independent N(0, 1) coordinates
+    versus the closed-form bound eps (4 + sqrt(2 log(p / eps))).
 
-    Simulates independent N(0, sigma_lower^2) coordinates, takes the exact sup
-    of the sample's mass over open windows of width eps
+    Takes the exact sup of the sample's mass over open windows of width eps
     (``stat_core.concentration_fn``), and requires that this Monte Carlo sup
     plus four standard errors stay below the bound.  The check is vacuous
-    once the bound exceeds one.
+    once the bound exceeds one.  A scale sigma needs no parameter: sigma Z
+    at width eps has the window masses of Z at eps / sigma.
     """
     if mc_reps < _MIN_MC_REPS:
         raise ValueError(f"mc_reps must be at least {_MIN_MC_REPS}")
-    if sigma_lower <= 0.0 or eps <= 0.0:
-        raise ValueError("sigma_lower and eps must be positive")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
 
     rng = seed.rng()
     maxima = np.empty(mc_reps)
@@ -341,11 +328,11 @@ def check_gaussian_anticoncentration(
     done = 0
     while done < mc_reps:
         m = min(chunk, mc_reps - done)
-        maxima[done : done + m] = (sigma_lower * rng.standard_normal((m, p))).max(axis=1)
+        maxima[done : done + m] = rng.standard_normal((m, p)).max(axis=1)
         done += m
     sup_hat = concentration_fn(EmpiricalDistribution(maxima), eps)
     se = math.sqrt(sup_hat * (1.0 - sup_hat) / mc_reps)
-    bound = (eps / sigma_lower) * (4.0 + math.sqrt(2.0 * max(math.log(p * sigma_lower / eps), 0.0)))
+    bound = eps * (4.0 + math.sqrt(2.0 * max(math.log(p / eps), 0.0)))
     violation = sup_hat + 4.0 * se - bound
     return CheckReport(
         name=f"gaussian_anticoncentration[p={p},eps={eps}]",

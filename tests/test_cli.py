@@ -208,6 +208,7 @@ def no_run(monkeypatch):
         ("schemes", "e:0.2", "bad scheme 'e:0.2' (use mix[:p0] with p0 a number in (0, 1))"),
         ("jobs", "0", "jobs must be at least 1"),
         ("seed", "-1", "seed components must be nonnegative integers"),
+        ("out", "", "--out is an empty path"),
     ],
 )
 def test_config_file_range_error_names_file_and_line(tmp_path, capsys, no_run, key, value, message):
@@ -292,6 +293,14 @@ def test_out_and_figure_data_naming_one_file_fail_before_the_run(
     assert [p.name for p in tmp_path.iterdir()] == (["x.csv"] if exists else [])
     if exists:
         assert target.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--figure-data"])
+def test_empty_output_path_fails_before_the_run(tmp_path, capsys, monkeypatch, no_run, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", flag, ""]) == 1
+    assert capsys.readouterr().err == f"error: {flag} is an empty path\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("token", ["g:0.3", "e:0.2"])
@@ -539,6 +548,26 @@ def test_certify_certificate_keys_follow_rate_certificate_fields(tmp_path, capsy
     assert keys == ["gamma_star", "branch", "tail_value", "moment_value", "kappa_n4", "M", "b_n"]
     assert {scheme: list(cert) for scheme, cert in certificates.items()} == {"empirical": keys, "wild": keys}
     assert {cert["branch"] for cert in certificates.values()} <= {"TailBranch", "MomentBranch"}
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("", "it holds no rows"),
+        ("1,2\n3,4,5\n", "the number of columns changed from 2 to 3"),
+        ("1,2\n3,x\n", "could not convert string 'x'"),
+    ],
+    ids=["empty", "ragged", "non-numeric"],
+)
+def test_certify_malformed_input_names_the_file(tmp_path, capsys, text, reason):
+    # filterwarnings = error: a numpy warning would escape main as a traceback
+    path = tmp_path / "matrix.csv"
+    path.write_text(text)
+    assert main(["certify", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read input matrix {str(path)!r}: {reason}")
+    assert "usecols" not in err and err.count("\n") == 1
 
 
 def test_certify_missing_file():

@@ -28,12 +28,12 @@ from conftest import seed
 
 def test_order_one_is_softmax():
     z = np.array([0.4, -1.2, 0.9])
-    np.testing.assert_array_equal(fbeta_derivative(z, 1.7, 1).entries, softmax_weights(z, 1.7))
+    np.testing.assert_array_equal(fbeta_derivative(z, 1.7, 1), softmax_weights(z, 1.7))
 
 
 def test_order_two_equal_entries():
     beta = 2.5
-    t = fbeta_derivative(np.array([1.0, 1.0]), beta, 2).entries
+    t = fbeta_derivative(np.array([1.0, 1.0]), beta, 2)
     np.testing.assert_allclose(t, beta * np.array([[0.25, -0.25], [-0.25, 0.25]]), atol=1e-15)
 
 
@@ -42,7 +42,7 @@ def test_derivatives_match_finite_differences(order, rel_tol, rng):
     beta = 1.5
     for _ in range(3):
         z = rng.standard_normal(4)
-        exact = fbeta_derivative(z, beta, order).entries
+        exact = fbeta_derivative(z, beta, order)
         fd = fd_smooth_max_tensor(z, beta, order)
         rel = np.abs(fd - exact).max() / np.abs(exact).max()
         assert rel <= rel_tol
@@ -51,7 +51,7 @@ def test_derivatives_match_finite_differences(order, rel_tol, rng):
 def test_tensors_are_exactly_symmetric(rng):
     z = rng.standard_normal(4)
     for order in (2, 3, 4):
-        t = fbeta_derivative(z, 1.3, order).entries
+        t = fbeta_derivative(z, 1.3, order)
         for perm in itertools.permutations(range(order)):
             np.testing.assert_array_equal(np.transpose(t, perm), t)
 
@@ -60,9 +60,9 @@ def test_tensor_entries_sum_to_zero(rng):
     # gradient sums to one, so every higher derivative of the sum vanishes
     z = rng.standard_normal(5)
     beta = 2.0
-    assert fbeta_derivative(z, beta, 2).entries.sum() == pytest.approx(0.0, abs=1e-15)
-    assert fbeta_derivative(z, beta, 3).entries.sum() == pytest.approx(0.0, abs=1e-13)
-    assert fbeta_derivative(z, beta, 4).entries.sum() == pytest.approx(0.0, abs=1e-13)
+    assert fbeta_derivative(z, beta, 2).sum() == pytest.approx(0.0, abs=1e-15)
+    assert fbeta_derivative(z, beta, 3).sum() == pytest.approx(0.0, abs=1e-13)
+    assert fbeta_derivative(z, beta, 4).sum() == pytest.approx(0.0, abs=1e-13)
 
 
 def test_tensor_guards():
@@ -78,13 +78,13 @@ def test_tensor_guards():
 
 
 def test_sandwich_check_passes():
-    report = check_smoothmax_sandwich(500, 200, seed(50))
+    report = check_smoothmax_sandwich(500, seed(50))
     assert report.passed
     assert report.max_violation <= 1e-12
 
 
 def test_l1_check_passes_and_order_one_is_tight():
-    report = check_l1_bounds(300, 8, seed(51))
+    report = check_l1_bounds(300, seed(51))
     assert report.passed
     # ||pi||_1 = 1 = C_1 exactly, so the best ratio is 1
     assert "max ratio" in report.details
@@ -93,7 +93,7 @@ def test_l1_check_passes_and_order_one_is_tight():
 
 def test_l1_equal_entries_order_two():
     # hand value: beta^{-1} F^(2) at equal entries has l1 norm 1 <= 2
-    t = fbeta_derivative(np.zeros(2), 3.0, 2).entries / 3.0
+    t = fbeta_derivative(np.zeros(2), 3.0, 2) / 3.0
     assert np.abs(t).sum() == pytest.approx(1.0, abs=1e-15)
     assert np.abs(t).sum() <= L1_BOUNDS[2]
 
@@ -148,7 +148,7 @@ def test_lindeberg_rejects_unknown_function():
 
 def test_anticoncentration_basic_cells():
     for p in (1, 10):
-        report = check_gaussian_anticoncentration(p, 1.0, 0.1, 20_000, seed(57, p))
+        report = check_gaussian_anticoncentration(p, 0.1, 20_000, seed(57, p))
         assert report.passed
 
 
@@ -156,7 +156,7 @@ def test_anticoncentration_bound_value():
     # p=10, sigma=1, eps=0.1: bound = 0.1 (4 + sqrt(2 log 100)) ~ 0.7035
     bound = 0.1 * (4.0 + math.sqrt(2.0 * math.log(100.0)))
     assert bound == pytest.approx(0.70350, abs=1e-4)
-    report = check_gaussian_anticoncentration(10, 1.0, 0.1, 20_000, seed(58))
+    report = check_gaussian_anticoncentration(10, 0.1, 20_000, seed(58))
     sup = float(report.details.split()[2])
     assert sup < bound / 3.0  # i.i.d. N(0,1) max is far below the bound
 
@@ -164,7 +164,7 @@ def test_anticoncentration_bound_value():
 def test_anticoncentration_single_coordinate_closed_form():
     # p=1: sup_a P{a < xi <= a+eps} = Phi(eps/2) - Phi(-eps/2)
     eps = 0.3
-    report = check_gaussian_anticoncentration(1, 1.0, eps, 100_000, seed(59))
+    report = check_gaussian_anticoncentration(1, eps, 100_000, seed(59))
     sup = float(report.details.split()[2])
     closed = math.erf(eps / (2.0 * math.sqrt(2.0)))
     assert sup == pytest.approx(closed, abs=4.0 * math.sqrt(closed * (1 - closed) / 100_000))
@@ -172,7 +172,7 @@ def test_anticoncentration_single_coordinate_closed_form():
 
 
 def test_anticoncentration_vacuous_when_bound_exceeds_one():
-    report = check_gaussian_anticoncentration(1, 1.0, 5.0, 10_000, seed(60))
+    report = check_gaussian_anticoncentration(1, 5.0, 10_000, seed(60))
     assert report.passed  # bound > 1 makes the inequality vacuous
 
 
@@ -202,4 +202,4 @@ def test_anticoncentration_window_sup_is_never_below_the_old_grid(monkeypatch):
 
 def test_anticoncentration_rejects_small_mc():
     with pytest.raises(ValueError):
-        check_gaussian_anticoncentration(3, 1.0, 0.1, 100, seed(61))
+        check_gaussian_anticoncentration(3, 0.1, 100, seed(61))
