@@ -220,19 +220,26 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         p = values.shape[1]
         if len(parts) not in (1, p):
             raise ValueError(f"--known-mean has {len(parts)} values but the input has {p} column{'s' * (p != 1)}")
+        if not np.isfinite(parts).all():
+            raise ValueError(f"--known-mean entries must be finite, got {args.known_mean!r}")
         known_mean = np.full(p, parts[0]) if len(parts) == 1 else np.array(parts)
-    data = DataMatrix(values=values, known_mean=known_mean)
     center = Centering.KNOWN_MEAN if args.center == "known" else Centering.SAMPLE_MEAN
-    summary = estimate_moment_summary(data, center)
-    payload = {
-        "n": data.n,
-        "p": data.p,
-        "centering": center.value,
-        "summary": dataclasses.asdict(summary),
-        "certificates": {},
-    }
-    for scheme in ("empirical", "wild"):
-        payload["certificates"][scheme] = dataclasses.asdict(rate_certificate(summary, data.n, data.p, scheme))
+    try:
+        data = DataMatrix(values=values, known_mean=known_mean)
+        summary = estimate_moment_summary(data, center)
+        certificates = {
+            scheme: dataclasses.asdict(rate_certificate(summary, data.n, data.p, scheme))
+            for scheme in ("empirical", "wild")
+        }
+    except ValueError as exc:
+        reason = str(exc)
+        if "sigma_lower" in reason:
+            # sigma_lower is the root mean square of the least-spread column
+            spread = (data.centered(center is Centering.KNOWN_MEAN) ** 2).mean(axis=0)
+            reason = f"column {spread.argmin() + 1} is constant ({reason})"
+        raise ValueError(f"cannot certify input matrix {args.input!r}: {reason}") from None
+    payload = {"n": data.n, "p": data.p, "centering": center.value}
+    payload.update(summary=dataclasses.asdict(summary), certificates=certificates)
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -21,6 +21,7 @@ import math
 import multiprocessing
 import os
 import signal
+import sys
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -169,7 +170,10 @@ def _block_map(jobs: int):
     if jobs == 1:
         yield map
         return
-    with multiprocessing.Pool(jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+    # Linux forks the workers, with numpy and scipy imported, whatever the
+    # default start method (forkserver from Python 3.14); elsewhere, spawn
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    with context.Pool(jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
         yield pool.imap
 
 
@@ -199,11 +203,8 @@ def run_truth(config: ExperimentConfig, jobs: int = 1) -> EmpiricalDistribution:
 
 def _aggregate(config: ExperimentConfig, per_rep: list) -> ExperimentResult:
     names = [plan.name for plan in config.schemes]
-    per_rep_ks = {}
-    per_rep_cover = {}
-    for s, name in enumerate(names):
-        per_rep_ks[name] = np.array([rep[0][s] for rep in per_rep])
-        per_rep_cover[name] = np.array([float(rep[1][s]) for rep in per_rep])
+    per_rep_ks = {name: np.array([rep[0][s] for rep in per_rep]) for s, name in enumerate(names)}
+    per_rep_cover = {name: np.array([float(rep[1][s]) for rep in per_rep]) for s, name in enumerate(names)}
 
     rows = []
     for name in names:
@@ -327,8 +328,6 @@ def check_destinations(out: str | None, figure_data: str | None) -> None:
 
 def _write_text(text: str, path: str | None) -> None:
     if path is None or path == "-":
-        import sys
-
         sys.stdout.write(text)
         return
     try:

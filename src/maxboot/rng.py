@@ -203,24 +203,17 @@ def _seated(batches: Iterator[np.ndarray]) -> Iterator[np.random.Generator]:
 class StreamWalk:
     """Streams 0, 1, 2, ... of a walk, served in order as one reused generator.
 
-    Each step seats the generator at the start of the next stream; draw from
-    it before taking the next.  ``taken`` counts the streams served so far,
-    and ``restart(i)`` gives a new generator at the start of stream i,
-    whatever the reused one has drawn since.
+    Streams leave a walk only through ``take(k)``, and each step of it seats
+    the generator at the start of the next stream; draw from it before
+    taking the next.  ``taken`` counts the streams served so far, and
+    ``restart(i)`` gives a new generator at the start of stream i, whatever
+    the reused one has drawn since.
     """
 
     def __init__(self, seated: Iterator[np.random.Generator], spec_of: Callable[[int], "SeedSpec"]) -> None:
         self._seated = seated
         self._spec_of = spec_of
         self.taken = 0
-
-    def __iter__(self) -> "StreamWalk":
-        return self
-
-    def __next__(self) -> np.random.Generator:
-        gen = next(self._seated)
-        self.taken += 1
-        return gen
 
     def take(self, k: int) -> Iterator[np.random.Generator]:
         """The next k streams, served without a Python call per stream."""

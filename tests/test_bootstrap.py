@@ -201,7 +201,7 @@ def test_fill_rows_takes_exactly_one_stream_per_row(plan, n):
             expect = oracle_row(plan, n, spec.child(taken + r).rng())
             assert rows[r].tobytes() == expect.tobytes(), (plan.name, taken + r)
         taken += k
-        after = next(rngs)
+        (after,) = rngs.take(1)
         assert after.bit_generator.state == spec.child(taken).rng().bit_generator.state
         taken += 1
 
@@ -246,7 +246,8 @@ def check_redrawn_rows(spec, redrawn):
         expect = oracle_row(BootstrapPlan.empirical(), n, spec.child(r).rng())
         assert rows[r].tobytes() == expect.tobytes(), r
     # the redraws leave the walk where it was
-    assert next(walk).bit_generator.state == spec.child(b).rng().bit_generator.state
+    (after,) = walk.take(1)
+    assert after.bit_generator.state == spec.child(b).rng().bit_generator.state
 
 
 @pytest.mark.parametrize("case", REDRAW_WALKS)

@@ -40,7 +40,7 @@ def test_cli_import_loads_no_heavy_scipy_and_no_table():
         "datagen._transform_table.cache_info().currsize, "
         "_kernels._blas_threads.cache_info().currsize, "
         "rng._state_write_ok.cache_info().currsize); "
-        "before = set(sys.modules); list(rng.SeedSpec(1).child_rngs(2)); "
+        "before = set(sys.modules); list(rng.SeedSpec(1).child_rngs(2).take(2)); "
         "print(sorted(set(sys.modules) - before))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -568,6 +568,34 @@ def test_certify_malformed_input_names_the_file(tmp_path, capsys, text, reason):
     assert out == ""
     assert err.startswith(f"error: cannot read input matrix {str(path)!r}: {reason}")
     assert "usecols" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("1,2\n3,nan\n4,7\n", "data entries must be finite"),
+        ("1,2\n", "need at least two rows"),
+        ("1\n2\n4\n", "need n >= 2 and p >= 2"),
+        ("1,5,2\n3,5,4\n4,5,7\n", "column 2 is constant (degenerate summary: sigma_lower must be positive)"),
+    ],
+    ids=["non-finite", "one-row", "one-column", "constant-column"],
+)
+def test_certify_data_errors_name_the_file(tmp_path, capsys, text, reason):
+    path = tmp_path / "matrix.csv"
+    path.write_text(text)
+    assert main(["certify", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot certify input matrix {str(path)!r}: {reason}\n"
+
+
+def test_certify_non_finite_known_mean_names_flag_and_value(tmp_path, capsys):
+    path = tmp_path / "matrix.csv"
+    np.savetxt(path, np.arange(8.0).reshape(4, 2), delimiter=",")
+    assert main(["certify", "--input", str(path), "--known-mean", "1,inf"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --known-mean entries must be finite, got '1,inf'\n"
 
 
 def test_certify_missing_file():

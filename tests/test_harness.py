@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+import sys
 
 import numpy as np
 import pytest
@@ -169,16 +170,27 @@ def test_interrupt_in_the_truth_phase_flushes_nothing(monkeypatch):
     assert flushed == []
 
 
+def count_pools(monkeypatch, pick=lambda asked: asked):
+    """Route ``multiprocessing.get_context(asked)`` to the context ``pick(asked)``
+    names, and return the start methods of the pools opened through it."""
+    get_context = multiprocessing.get_context
+    opened = []
+
+    class CountingContext:
+        def __init__(self, context):
+            self.context = context
+
+        def Pool(self, *args, **kwargs):
+            opened.append(self.context.get_start_method())
+            return self.context.Pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda asked=None: CountingContext(get_context(pick(asked))))
+    return opened
+
+
 def test_one_pool_per_run(monkeypatch):
     # both phases of a run share one pool; one job opens none
-    opened = []
-    pool = multiprocessing.Pool
-
-    def counting_pool(*args, **kwargs):
-        opened.append(args)
-        return pool(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    opened = count_pools(monkeypatch)
     cfg = tiny_config(outer_reps=4, truth_reps=20)
     run_experiment(cfg, jobs=2)
     assert len(opened) == 1
@@ -187,6 +199,38 @@ def test_one_pool_per_run(monkeypatch):
     run_experiment(cfg, jobs=1)
     run_truth(cfg, jobs=1)
     assert len(opened) == 2
+
+
+def needs_start_method(method):
+    return pytest.mark.skipif(
+        method not in multiprocessing.get_all_start_methods(), reason=f"no {method} start method here"
+    )
+
+
+@needs_start_method("forkserver")
+def test_pool_forks_on_linux_whatever_the_default(monkeypatch):
+    # forkserver stands in for the interpreter's default, as from Python 3.14
+    opened = count_pools(monkeypatch, lambda asked: asked or "forkserver")
+    cfg = tiny_config(truth_reps=20)
+    assert np.array_equal(run_truth(cfg, jobs=2).sample, run_truth(cfg, jobs=1).sample)
+    assert opened == ["fork" if sys.platform == "linux" else "forkserver"]
+
+
+@pytest.mark.parametrize(
+    "method", [pytest.param(m, marks=needs_start_method(m)) for m in ("spawn", "forkserver")]
+)
+def test_rows_are_byte_identical_under_every_start_method(monkeypatch, method):
+    # spawn is the start method on macOS and Windows; forkserver is Linux's
+    # default from Python 3.14
+    cfg = tiny_config(outer_reps=4, truth_reps=20)
+    serial = run_experiment(cfg, jobs=1)
+    opened = count_pools(monkeypatch, lambda asked: method)
+    pooled = run_experiment(cfg, jobs=2)
+    assert opened == [method]
+    assert pooled.rows == serial.rows
+    assert pooled.per_rep_ks.keys() == serial.per_rep_ks.keys()
+    for name, values in serial.per_rep_ks.items():
+        assert pooled.per_rep_ks[name].tobytes() == values.tobytes()
 
 
 def test_jobs_below_one_rejected():

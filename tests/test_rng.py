@@ -35,7 +35,7 @@ def state_of(gen: np.random.Generator) -> tuple[int, int]:
 
 def check_match_child_rng(spec, count):
     seen = 0
-    for r, gen in enumerate(spec.child_rngs(count)):
+    for r, gen in enumerate(spec.child_rngs(count).take(count)):
         ref = spec.child(r).rng()
         assert gen.bit_generator.state == ref.bit_generator.state
         if r % 149 == 0 or r == count - 1:
@@ -50,7 +50,7 @@ def check_match_child_rng(spec, count):
 def check_reset_after_odd_32_bit_draws():
     # an odd count of 32-bit draws leaves a buffered half word in the bit generator
     spec = SeedSpec(42).child(1)
-    for r, gen in enumerate(spec.child_rngs(3)):
+    for r, gen in enumerate(spec.child_rngs(3).take(3)):
         ref = spec.child(r).rng()
         assert gen.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(gen.integers(0, 2, 3), ref.integers(0, 2, 3))
@@ -60,7 +60,7 @@ def check_reset_after_odd_32_bit_draws():
 def check_batch_crossing():
     spec = SeedSpec(3).child(1, 4)
     picked = {0, 4095, 4096, 4097, 8999}
-    for r, gen in enumerate(spec.child_rngs(9000)):
+    for r, gen in enumerate(spec.child_rngs(9000).take(9000)):
         if r in picked:
             assert gen.bit_generator.state == spec.child(r).rng().bit_generator.state
 
@@ -98,12 +98,23 @@ def test_dict_fallback_crosses_derivation_batches(dict_fallback):
 
 
 def test_child_rngs_count_bounds():
-    assert list(SeedSpec(1).child_rngs(0)) == []
+    # a walk of no streams serves none, whatever is asked of it
+    assert list(SeedSpec(1).child_rngs(0).take(1)) == []
     # checked when called, not when first iterated
     with pytest.raises(ValueError):
         SeedSpec(1).child_rngs(-1)
     with pytest.raises(ValueError):
         SeedSpec(1).child_rngs(2**32 + 1)
+
+
+def test_streams_leave_a_walk_only_through_take():
+    # ``taken``, from which restarts are indexed, has take as its one writer
+    walk = SeedSpec(1).child_rngs(5)
+    assert not hasattr(walk, "__iter__") and not hasattr(walk, "__next__")
+    assert len(list(walk.take(2))) == 2 and walk.taken == 2
+    (gen,) = walk.take(1)
+    assert walk.taken == 3
+    assert gen.bit_generator.state == walk.restart(2).bit_generator.state
 
 
 # 128-bit words as (low, high) uint64 pairs, against Python ints
