@@ -23,8 +23,10 @@ import numpy as np
 
 from maxboot import theorycheck
 from maxboot.bootstrap import BootstrapPlan
-from maxboot.datagen import CopulaSpec, DataMatrix, Dependence
+from maxboot.datagen import CopulaSpec, DataMatrix
 from maxboot.harness import (
+    EXPERIMENTS,
+    FORMATS,
     ExperimentConfig,
     ExperimentResult,
     _blocks,
@@ -40,7 +42,7 @@ from maxboot.stat_core import MaxMode
 # every `run` key: (type, default, choices, help); the flags are built from
 # this table in this order, and config-file values get the same checks
 _RUN_KEYS = {
-    "experiment": (str, "II", ("I", "II"), None),
+    "experiment": (str, "II", tuple(EXPERIMENTS), None),
     "rho": (float, 0.2, None, None),
     "shape": (float, 1.0, None, "gamma shape parameter"),
     "n": (int, 200, None, None),
@@ -49,11 +51,11 @@ _RUN_KEYS = {
     "truth": (int, 5000, None, "Monte Carlo size of the truth law"),
     "breps": (int, 500, None, "bootstrap replicates per dataset"),
     "alpha": (float, 0.05, None, None),
-    "mode": (str, "onesided", ("onesided", "abs"), None),
+    "mode": (str, "onesided", tuple(mode.value for mode in MaxMode), None),
     "schemes": (str, "g,m,r,e", None, "comma list: g,m,r,e,mix[:p0]"),
     "seed": (int, 20250808, None, None),
     "jobs": (int, 1, None, "parallel workers over truth and outer replicates"),
-    "format": (str, "csv", ("csv", "json"), None),
+    "format": (str, "csv", FORMATS, None),
     "out": (str, None, None, "results path (default stdout)"),
     "figure_data": (str, None, None, "per-replicate KS CSV path"),
 }
@@ -109,9 +111,8 @@ def _resolve(values: dict) -> ExperimentConfig:
     any replicate runs, by the module that owns it."""
     _blocks(0, values["jobs"])
     check_destinations(values["out"], values["figure_data"])
-    structure = Dependence.EQUICORRELATED if values["experiment"] == "I" else Dependence.AR1
     return ExperimentConfig(
-        copula=CopulaSpec(structure, values["rho"], values["shape"]),
+        copula=CopulaSpec(EXPERIMENTS[values["experiment"]], values["rho"], values["shape"]),
         n=values["n"],
         p=values["p"],
         schemes=tuple(BootstrapPlan.parse(token, values["breps"]) for token in values["schemes"].split(",")),
@@ -171,7 +172,7 @@ def _check_reports(suite: str, trials: int, reps: int, seed: int):
     if suite in ("all", "lindeberg"):
         for n in range(2, 7):
             for p in (1, 2):
-                for f in ("smoothmax", "sumsq"):
+                for f in theorycheck.LINDEBERG_TEST_FUNCTIONS:
                     yield theorycheck.check_lindeberg_permutation(n, p, f, base.child(4, n, p))
     if suite in ("all", "anticonc"):
         for p in (1, 10, 100):
@@ -196,7 +197,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    if args.center == "known" and args.known_mean is None:
+    center = Centering(args.center)
+    if center is Centering.KNOWN_MEAN and args.known_mean is None:
         raise ValueError("--center known requires --known-mean")
     try:
         with warnings.catch_warnings():
@@ -223,7 +225,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         if not np.isfinite(parts).all():
             raise ValueError(f"--known-mean entries must be finite, got {args.known_mean!r}")
         known_mean = np.full(p, parts[0]) if len(parts) == 1 else np.array(parts)
-    center = Centering.KNOWN_MEAN if args.center == "known" else Centering.SAMPLE_MEAN
     try:
         data = DataMatrix(values=values, known_mean=known_mean)
         summary = estimate_moment_summary(data, center)
@@ -266,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     certify = sub.add_parser("certify", help="rate certificates for user data")
     certify.add_argument("--input", required=True, help="CSV matrix, rows = observations")
-    certify.add_argument("--center", choices=["known", "sample"], default="sample")
+    certify.add_argument("--center", choices=[center.value for center in Centering], default="sample")
     certify.add_argument("--known-mean", dest="known_mean", help="scalar or comma list")
     certify.set_defaults(func=_cmd_certify)
     return parser

@@ -46,12 +46,16 @@ __all__ = [
     "emit_results",
     "emit_figure_data",
     "check_destinations",
+    "EXPERIMENTS", "FORMATS",
 ]
 
 logger = logging.getLogger(__name__)
 
 # substream namespaces under the master seed
 _TRUTH, _DATA, _BOOT = 0, 1, 2
+# the paper's experiment labels, and the output formats of ``emit_results``
+EXPERIMENTS = {"I": Dependence.EQUICORRELATED, "II": Dependence.AR1}
+FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class ExperimentConfig:
 
     @property
     def experiment(self) -> str:
-        return "I" if self.copula.structure is Dependence.EQUICORRELATED else "II"
+        return next(label for label, structure in EXPERIMENTS.items() if structure is self.copula.structure)
 
 
 @dataclass(frozen=True)
@@ -264,8 +268,8 @@ def emit_results(rows: list[ResultRow], format: str, path: str | None) -> None:
     """
     if not rows:
         raise ValueError("rows must be nonempty")
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    if format not in FORMATS:
+        raise ValueError(f"format must be {' or '.join(map(repr, FORMATS))}, got {format!r}")
     ordered = sorted(rows, key=_row_order)
     buf = io.StringIO()
     if format == "csv":

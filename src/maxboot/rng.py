@@ -210,15 +210,18 @@ class StreamWalk:
     the reused one has drawn since.
     """
 
-    def __init__(self, seated: Iterator[np.random.Generator], spec_of: Callable[[int], "SeedSpec"]) -> None:
+    def __init__(self, seated: Iterator[np.random.Generator], spec_of: Callable[[int], "SeedSpec"], count: int) -> None:
         self._seated = seated
         self._spec_of = spec_of
+        self._count = count
         self.taken = 0
 
     def take(self, k: int) -> Iterator[np.random.Generator]:
-        """The next k streams, served without a Python call per stream."""
+        """The next k streams, or all that are left, without a Python call per stream."""
+        k = min(k, self._count - self.taken)
+        served = itertools.islice(self._seated, k)  # islice rejects k < 0 before taken moves
         self.taken += k
-        return itertools.islice(self._seated, k)
+        return served
 
     def restart(self, i: int) -> np.random.Generator:
         return self._spec_of(i).rng()
@@ -262,7 +265,7 @@ class SeedSpec:
     def rng_walk(self) -> StreamWalk:
         """This spec's own stream, ``rng()``, as a walk of one stream."""
         # stream 0 of the walk, and no other, is this spec
-        return StreamWalk(iter([self.rng()]), (self,).__getitem__)
+        return StreamWalk(iter([self.rng()]), (self,).__getitem__, 1)
 
     def child_rngs(self, count: int) -> StreamWalk:
         """The walk of streams ``child(0)`` to ``child(count - 1)``, in order.
@@ -277,7 +280,7 @@ class SeedSpec:
         if not 0 <= count <= 1 << 32:
             raise ValueError("count must lie in [0, 2**32]")
         prefix = [w for key in self._keys for w in _words(key)]
-        return StreamWalk(_seated(_state_batches(prefix, count)), self.child)
+        return StreamWalk(_seated(_state_batches(prefix, count)), self.child, count)
 
 
 def _state_batches(prefix: list[int], count: int) -> Iterator[np.ndarray]:

@@ -244,17 +244,9 @@ def _f_sumsq(total: np.ndarray, n: int) -> float:
     return float(total @ total)
 
 
-def _f_const(total: np.ndarray, n: int) -> float:
-    return 1.0
-
-
 # All registered test functions depend on the arguments only through their
 # sum, hence are permutation invariant as the swap identity requires.
-LINDEBERG_TEST_FUNCTIONS = {
-    "smoothmax": _f_smoothmax,
-    "sumsq": _f_sumsq,
-    "const": _f_const,
-}
+LINDEBERG_TEST_FUNCTIONS = {"smoothmax": _f_smoothmax, "sumsq": _f_sumsq}
 
 
 def check_lindeberg_permutation(n: int, p: int, f: str, seed: SeedSpec) -> CheckReport:

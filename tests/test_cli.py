@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 from maxboot import harness
 from maxboot.cli import _RUN_KEYS, build_config, main
 from maxboot.datagen import Dependence
-from maxboot.moments import RateCertificate
+from maxboot.moments import Centering, RateCertificate
 from maxboot.stat_core import MaxMode
 
 
@@ -324,6 +325,58 @@ def test_mixed_scheme_with_p0():
 def test_mode_parsing():
     config, _ = build_config(parse_args("--mode", "abs"))
     assert config.mode is MaxMode.ABSOLUTE
+
+
+# ---------------------------------------------------------------------------
+# label vocabularies: each option takes the values of the module that owns it
+# ---------------------------------------------------------------------------
+
+
+def owners_values() -> dict:
+    return {
+        ("run", "experiment"): list(harness.EXPERIMENTS),
+        ("run", "mode"): [mode.value for mode in MaxMode],
+        ("run", "format"): list(harness.FORMATS),
+        ("certify", "center"): [center.value for center in Centering],
+    }
+
+
+def test_label_choices_are_the_owners_values_in_order():
+    from maxboot.cli import _build_parser
+
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for (command, key), values in owners_values().items():
+        (action,) = [a for a in commands.choices[command]._actions if a.dest == key]
+        assert list(action.choices) == values, key
+        if command == "run":
+            assert list(_RUN_KEYS[key][2]) == values, key  # the config-file check
+
+
+@pytest.mark.parametrize("key", ["experiment", "mode", "format"])
+def test_each_run_label_resolves_to_its_owners_object(tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    for label in owners_values()["run", key]:
+        cfg.write_text(f"{key} = {label}\n")
+        for args in (parse_args(f"--{key}", label), parse_args("--config", str(cfg))):
+            config, values = build_config(args)
+            assert values[key] == label
+            if key == "experiment":
+                assert config.copula.structure is harness.EXPERIMENTS[label]
+                assert config.experiment == label
+            elif key == "mode":
+                assert config.mode is MaxMode(label)
+            else:
+                out = tmp_path / f"rows.{label}"
+                harness.emit_results([harness.ResultRow("I", 0.2, 1.0, "x", "KS", 0.5, 0.1, 3)], label, str(out))
+                assert out.read_text()
+
+
+def test_each_centering_is_accepted_and_echoed(tmp_path, capsys):
+    path = tmp_path / "matrix.csv"
+    np.savetxt(path, np.random.default_rng(3).gamma(2.0, 1.0, (40, 3)), delimiter=",")
+    for label in owners_values()["certify", "center"]:
+        assert main(["certify", "--input", str(path), "--center", label, "--known-mean", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["centering"] == label
 
 
 # ---------------------------------------------------------------------------

@@ -323,8 +323,9 @@ def test_emit_results_six_significant_digits(tmp_path):
 def test_emit_results_errors(tmp_path):
     with pytest.raises(ValueError):
         emit_results([], "csv", str(tmp_path / "rows.csv"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         emit_results(rows_fixture(), "yaml", str(tmp_path / "rows.csv"))
+    assert str(err.value) == "format must be 'csv' or 'json', got 'yaml'"
     with pytest.raises(OSError) as err:
         emit_results(rows_fixture(), "csv", str(tmp_path / "nodir" / "rows.csv"))
     assert "nodir" in str(err.value)

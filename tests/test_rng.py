@@ -117,6 +117,22 @@ def test_streams_leave_a_walk_only_through_take():
     assert gen.bit_generator.state == walk.restart(2).bit_generator.state
 
 
+@pytest.mark.parametrize(
+    "walk_of, k, served",
+    [(lambda s: s.child_rngs(0), 1, 0), (lambda s: s.child_rngs(2), 3, 2), (lambda s: s.rng_walk(), 2, 1)],
+    ids=["child_rngs(0).take(1)", "child_rngs(2).take(3)", "rng_walk().take(2)"],
+)
+def test_take_counts_only_the_streams_it_serves(walk_of, k, served):
+    walk = walk_of(SeedSpec(1))
+    # each state is read before the next step reseats the reused generator
+    states = [gen.bit_generator.state for gen in walk.take(k)]
+    assert len(states) == served and walk.taken == served
+    if served:
+        assert states[-1] == walk.restart(walk.taken - 1).bit_generator.state
+    # a used-up walk serves and counts nothing more
+    assert list(walk.take(1)) == [] and walk.taken == served
+
+
 # 128-bit words as (low, high) uint64 pairs, against Python ints
 
 EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]

@@ -124,16 +124,6 @@ def test_lindeberg_identity_medium_case():
     assert report.max_violation <= 1e-12
 
 
-def test_lindeberg_constant_function():
-    # constant c averages to c/n for every held-out index under the
-    # (1/(n n!)) indicator weighting; the identity across i is exact
-    n = 3
-    report = check_lindeberg_permutation(n, 1, "const", seed(55))
-    assert report.max_violation == 0.0
-    values = eval(report.details.split(":", 1)[1])
-    assert values == pytest.approx([1.0 / n] * n, abs=1e-15)
-
-
 def test_lindeberg_rejects_unknown_function():
     with pytest.raises(ValueError):
         check_lindeberg_permutation(3, 1, "asymmetric", seed(56))
