@@ -34,11 +34,12 @@ __all__ = ["max_reduce"]
 _TILE = 64
 
 # (get, set) thread-count functions: the scipy-openblas ILP64 build that
-# numpy's PyPI wheels bundle, then the pair a plain OpenBLAS declares in its
-# cblas.h
+# numpy 2's PyPI wheels bundle, the pair a plain OpenBLAS declares in its
+# cblas.h, and that pair with the 64_ suffix of an ILP64 build (numpy 1.x)
 _THREAD_FUNCS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
 )
 
 # the thread count is process-wide: concurrent reductions must not interleave

@@ -29,8 +29,8 @@ from maxboot.harness import (
     FORMATS,
     ExperimentConfig,
     ExperimentResult,
-    _blocks,
     check_destinations,
+    check_jobs,
     emit_figure_data,
     emit_results,
     run_experiment,
@@ -109,7 +109,7 @@ def _parse_config_file(path: str) -> tuple[dict, dict]:
 def _resolve(values: dict) -> ExperimentConfig:
     """The run's config from resolved key values; every rule is checked before
     any replicate runs, by the module that owns it."""
-    _blocks(0, values["jobs"])
+    check_jobs(values["jobs"])
     check_destinations(values["out"], values["figure_data"])
     return ExperimentConfig(
         copula=CopulaSpec(EXPERIMENTS[values["experiment"]], values["rho"], values["shape"]),
@@ -137,6 +137,8 @@ def build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             values[key] = cli_value
+    if values["out"] == "-":
+        values["out"] = None  # stdout, so Ctrl-C flushes nothing, as without --out
     # a file value that fails among the defaults is reported at its line
     for key, value in file_values.items():
         try:
@@ -183,8 +185,8 @@ def _check_reports(suite: str, trials: int, reps: int, seed: int):
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    if args.suite in ("all", "anticonc") and args.reps < theorycheck._MIN_MC_REPS:
-        raise ValueError(f"--reps must be at least {theorycheck._MIN_MC_REPS} for the anticonc suite")
+    if args.suite in ("all", "anticonc") and args.reps < theorycheck.MIN_MC_REPS:
+        raise ValueError(f"--reps must be at least {theorycheck.MIN_MC_REPS} for the anticonc suite")
     failed = 0
     for report in _check_reports(args.suite, args.trials, args.reps, args.seed):
         print(json.dumps(dataclasses.asdict(report)))
@@ -287,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

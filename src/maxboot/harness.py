@@ -2,10 +2,10 @@
 Kolmogorov-Smirnov and coverage metrics, and deterministic file emission.
 
 Blocks of replicates are the parallel unit.  Both phases of a run, the
-truth law and then the outer replicates, go through one block map, opened
+truth law and then the outer replicates, go through one block runner, opened
 once per run: the builtin ``map`` at one job, else one worker pool.  Every
 replicate derives its own random substream from the master seed, and the
-block map returns the blocks in order, so results are byte-identical at any
+runner collects the blocks in order, so results are byte-identical at any
 worker count.
 """
 
@@ -46,6 +46,7 @@ __all__ = [
     "emit_results",
     "emit_figure_data",
     "check_destinations",
+    "check_jobs",
     "EXPERIMENTS", "FORMATS",
 ]
 
@@ -120,11 +121,9 @@ class ExperimentResult:
     per_rep_cover: dict[str, np.ndarray]
 
 
-def _blocks(total: int, jobs: int) -> list[range]:
+def check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    size = max(1, math.ceil(total / (jobs * 8)))
-    return [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
 def _dataset(config: ExperimentConfig, space: int, r: int) -> tuple[DataMatrix, float]:
@@ -166,43 +165,42 @@ def _outer_block(
 
 @contextlib.contextmanager
 def _block_map(jobs: int):
-    """The map that evaluates one run's blocks, in every phase: the builtin
-    ``map`` at one job, else ``imap`` of one pool opened here.  Pool workers
-    ignore SIGINT and are terminated when the block is left, so an
-    interrupt never waits on them."""
-    _blocks(0, jobs)  # rejects jobs < 1 before a pool is opened
-    if jobs == 1:
-        yield map
-        return
-    # Linux forks the workers, with numpy and scipy imported, whatever the
-    # default start method (forkserver from Python 3.14); elsewhere, spawn
-    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-    with context.Pool(jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-        yield pool.imap
+    """The run's one block runner: ``run(fn, total, out, what)`` maps ``fn``
+    in order over the blocks of ``range(total)``, ceil(total / (8 jobs))
+    replicates each, appends each block's items to ``out`` (where they stay on
+    an interrupt) and logs how many ``what`` replicates are done.  It maps with
+    ``map`` at one job, else with ``imap`` of one pool whose workers ignore
+    SIGINT and are terminated on leaving, so an interrupt never waits on them."""
+    check_jobs(jobs)
+    with contextlib.ExitStack() as stack:
+        block_map = map
+        if jobs > 1:
+            # Linux forks the workers, with numpy and scipy imported, whatever
+            # the default start method (forkserver from Python 3.14); elsewhere, spawn
+            context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+            pool = context.Pool(jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+            block_map = stack.enter_context(pool).imap
+
+        def run(fn, total: int, out: list, what: str) -> None:
+            size = max(1, math.ceil(total / (jobs * 8)))
+            for items in block_map(fn, (range(lo, min(lo + size, total)) for lo in range(0, total, size))):
+                out.extend(items)
+                logger.info("%s replicates done: %d of %d", what, len(out), total)
+
+        yield run
 
 
-def _walk(block_map, fn, blocks: list[range], out: list, what: str) -> None:
-    """Evaluate ``fn`` on each block in order through ``block_map``,
-    appending each block's items to ``out`` and logging how many of
-    ``what`` replicates are done; on an interrupt the items of the blocks
-    completed so far stay there."""
-    for items in block_map(fn, blocks):
-        out.extend(items)
-        logger.info("%s replicates done: %d of %d", what, len(out), blocks[-1].stop)
-
-
-def _truth_law(config: ExperimentConfig, block_map, jobs: int) -> EmpiricalDistribution:
+def _truth_law(config: ExperimentConfig, run) -> EmpiricalDistribution:
     logger.info("simulating truth law: %d replicates", config.truth_reps)
-    fn = functools.partial(_truth_block, config)
     stats: list[float] = []
-    _walk(block_map, fn, _blocks(config.truth_reps, jobs), stats, "truth")
+    run(functools.partial(_truth_block, config), config.truth_reps, stats, "truth")
     return EmpiricalDistribution(np.asarray(stats))
 
 
 def run_truth(config: ExperimentConfig, jobs: int = 1) -> EmpiricalDistribution:
     """Monte Carlo law of the true statistic over truth_reps fresh datasets."""
-    with _block_map(jobs) as block_map:
-        return _truth_law(config, block_map, jobs)
+    with _block_map(jobs) as run:
+        return _truth_law(config, run)
 
 
 def _aggregate(config: ExperimentConfig, per_rep: list) -> ExperimentResult:
@@ -241,11 +239,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, on_interrupt=None) -
     """
     per_rep: list = []
     try:
-        with _block_map(jobs) as block_map:
-            truth = _truth_law(config, block_map, jobs)
+        with _block_map(jobs) as run:
+            truth = _truth_law(config, run)
             logger.info("running %d outer replicates", config.outer_reps)
-            fn = functools.partial(_outer_block, config, truth)
-            _walk(block_map, fn, _blocks(config.outer_reps, jobs), per_rep, "outer")
+            run(functools.partial(_outer_block, config, truth), config.outer_reps, per_rep, "outer")
     except KeyboardInterrupt:
         if per_rep and on_interrupt is not None:
             logger.warning("interrupted; flushing %d completed replicates", len(per_rep))

@@ -29,7 +29,7 @@ __all__ = [
     "check_softmax_stability",
     "check_lindeberg_permutation",
     "check_gaussian_anticoncentration",
-    "LINDEBERG_TEST_FUNCTIONS",
+    "LINDEBERG_TEST_FUNCTIONS", "MIN_MC_REPS",
 ]
 
 # l1 bounds for beta^(1-m) F^(m): orders 1..4
@@ -41,7 +41,7 @@ _MAX_TENSOR_P = 16
 _SANDWICH_P_MAX, _L1_P_MAX = 1000, 8
 
 # fewest Monte Carlo maxima the anti-concentration check accepts
-_MIN_MC_REPS = 10_000
+MIN_MC_REPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -309,8 +309,8 @@ def check_gaussian_anticoncentration(p: int, eps: float, mc_reps: int, seed: See
     once the bound exceeds one.  A scale sigma needs no parameter: sigma Z
     at width eps has the window masses of Z at eps / sigma.
     """
-    if mc_reps < _MIN_MC_REPS:
-        raise ValueError(f"mc_reps must be at least {_MIN_MC_REPS}")
+    if mc_reps < MIN_MC_REPS:
+        raise ValueError(f"mc_reps must be at least {MIN_MC_REPS}")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
 

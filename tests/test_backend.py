@@ -85,6 +85,15 @@ def test_without_thread_control_each_row_is_one_matvec(rng, monkeypatch):
                 assert np.array_equal(got, gemv_reduce(xc, rows, absolute))
 
 
+def test_an_openblas_numpy_has_thread_control():
+    # without it every reduction takes the one-matvec path and the tile GEMM
+    # goes untested; numpy 1.x wheels suffix OpenBLAS's own names with 64_
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy's BLAS is {blas}")
+    assert _kernels._blas_threads() is not None
+
+
 def test_concurrent_reductions_restore_the_thread_count(rng):
     threads = _kernels._blas_threads()
     if threads is None:

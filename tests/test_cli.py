@@ -450,6 +450,54 @@ def test_interrupt_writes_chosen_format_and_figure_data(tmp_path, monkeypatch):
     assert flushed_fig.read_bytes() == clean_fig.read_bytes()
 
 
+def test_out_dash_is_stdout_as_without_out(monkeypatch, capsys):
+    argv = ["run", "--n", "16", "--p", "4", "--truth", "20", "--breps", "8", "--schemes", "m,e", "--outer", "16"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--out", "-"]) == 0
+    assert capsys.readouterr().out == plain
+
+    # Ctrl-C in the second outer block: as without --out, stdout gets nothing
+    block = harness._outer_block
+    calls = []
+
+    def interrupted_block(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return block(*args)
+
+    monkeypatch.setattr(harness, "_outer_block", interrupted_block)
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--out", "-"])
+    assert len(calls) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_unallocatable_size_is_a_config_error(capsys):
+    # numpy refuses the (n, p) array of 8e18 bytes before touching memory;
+    # Experiment I would first allocate a real (n, 1) column
+    argv = ["run", "--experiment", "II", "--n", "1000000000", "--p", "1000000000",
+            "--outer", "1", "--truth", "1", "--breps", "2", "--schemes", "g"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
+@pytest.mark.parametrize("jobs, truth_step, outer_step", [(1, 4, 2), (2, 2, 1)])
+def test_progress_lines_count_each_block(jobs, truth_step, outer_step):
+    # each phase runs in blocks of ceil(total / (8 * jobs)) replicates
+    proc = run_cli("-v", "run", "--n", "20", "--p", "5", "--outer", "10", "--truth", "30",
+                   "--breps", "20", "--schemes", "g,e", "--jobs", str(jobs))
+    assert proc.returncode == 0, proc.stderr
+
+    def done(what, step, total):
+        return [f"{what} replicates done: {min(k, total)} of {total}" for k in range(step, total + step, step)]
+
+    lines = ["simulating truth law: 30 replicates", *done("truth", truth_step, 30),
+             "running 10 outer replicates", *done("outer", outer_step, 10)]
+    assert proc.stderr.splitlines() == [f"INFO maxboot.harness: {line}" for line in lines]
+
+
 def test_interrupt_in_the_truth_phase_writes_nothing(tmp_path, monkeypatch):
     # the truth law at one job runs as eight blocks; the second is interrupted
     block = harness._truth_block
