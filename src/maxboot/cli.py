@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import logging
 import sys
@@ -165,28 +166,37 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _smoothmax_reports(trials: int, reps: int, base: SeedSpec):
+    checks = (theorycheck.check_smoothmax_sandwich, theorycheck.check_l1_bounds, theorycheck.check_softmax_stability)
+    return (check(trials, base.child(k)) for k, check in enumerate(checks, 1))
+
+
+def _lindeberg_reports(trials: int, reps: int, base: SeedSpec):
+    cases = itertools.product(range(2, 7), (1, 2), theorycheck.LINDEBERG_TEST_FUNCTIONS)
+    return (theorycheck.check_lindeberg_permutation(n, p, f, base.child(4, n, p)) for n, p, f in cases)
+
+
+def _anticonc_reports(trials: int, reps: int, base: SeedSpec):
+    if reps < theorycheck.MIN_MC_REPS:
+        raise ValueError(f"--reps must be at least {theorycheck.MIN_MC_REPS} for the anticonc suite")
+    cases = itertools.product((1, 10, 100), (0.05, 0.1, 0.2))
+    return (theorycheck.check_gaussian_anticoncentration(p, e, reps, base.child(5, p, int(e * 100))) for p, e in cases)
+
+
+# the check suites in the order that `--suite all` runs them; each checks its
+# flags when called and runs its checks only as its reports are taken
+_SUITES = {"smoothmax": _smoothmax_reports, "lindeberg": _lindeberg_reports, "anticonc": _anticonc_reports}
+
+
 def _check_reports(suite: str, trials: int, reps: int, seed: int):
-    base = SeedSpec(seed)
-    if suite in ("all", "smoothmax"):
-        yield theorycheck.check_smoothmax_sandwich(trials, base.child(1))
-        yield theorycheck.check_l1_bounds(trials, base.child(2))
-        yield theorycheck.check_softmax_stability(trials, base.child(3))
-    if suite in ("all", "lindeberg"):
-        for n in range(2, 7):
-            for p in (1, 2):
-                for f in theorycheck.LINDEBERG_TEST_FUNCTIONS:
-                    yield theorycheck.check_lindeberg_permutation(n, p, f, base.child(4, n, p))
-    if suite in ("all", "anticonc"):
-        for p in (1, 10, 100):
-            for eps in (0.05, 0.1, 0.2):
-                yield theorycheck.check_gaussian_anticoncentration(p, eps, reps, base.child(5, p, int(eps * 100)))
+    # every chosen suite is called, so its flags are checked, before any runs
+    suites = [_SUITES[name](trials, reps, SeedSpec(seed)) for name in (_SUITES if suite == "all" else [suite])]
+    return itertools.chain.from_iterable(suites)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    if args.suite in ("all", "anticonc") and args.reps < theorycheck.MIN_MC_REPS:
-        raise ValueError(f"--reps must be at least {theorycheck.MIN_MC_REPS} for the anticonc suite")
     failed = 0
     for report in _check_reports(args.suite, args.trials, args.reps, args.seed):
         print(json.dumps(dataclasses.asdict(report)))
@@ -261,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     check = sub.add_parser("check", help="numerical verification suites")
-    check.add_argument("--suite", choices=["all", "smoothmax", "lindeberg", "anticonc"], default="all")
+    check.add_argument("--suite", choices=["all", *_SUITES], default="all")
     check.add_argument("--trials", type=int, default=10_000)
     check.add_argument("--reps", type=int, default=100_000, help="MC size for anticoncentration")
     check.add_argument("--seed", type=int, default=20250808)

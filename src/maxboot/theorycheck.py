@@ -59,32 +59,28 @@ class CheckReport:
         object.__setattr__(self, "trials", int(self.trials))
 
 
-def _sym(t: np.ndarray) -> np.ndarray:
-    """Symmetrize by averaging all axis permutations.
-
-    The permuted values are sorted before summation so every entry of an
-    orbit accumulates in the same order, making the result bitwise
-    symmetric, not just symmetric up to rounding.
-    """
-    m = t.ndim
-    stack = np.stack([np.transpose(t, perm) for perm in itertools.permutations(range(m))])
-    stack.sort(axis=0)
-    return stack.sum(axis=0) / math.factorial(m)
-
-
-def _diag_embed(v: np.ndarray, order: int) -> np.ndarray:
-    p = v.size
-    t = np.zeros((p,) * order)
-    t[(np.arange(p),) * order] = v
-    return t
+def _set_partitions(items: list[int]):
+    """Every set partition of ``items``, each block in the items' order."""
+    if not items:
+        yield []
+        return
+    for blocks in _set_partitions(items[1:]):
+        yield [items[:1], *blocks]
+        for i, block in enumerate(blocks):
+            yield [*blocks[:i], [items[0], *block], *blocks[i + 1 :]]
 
 
 def fbeta_derivative(z: np.ndarray, beta: float, order: int) -> np.ndarray:
     """Dense, symmetric derivative tensor of the smooth max, orders 1 to 4.
 
-    Built from the softmax weights pi: the gradient is pi itself, and each
-    higher order is the stated signed, symmetrized combination of diagonal
-    embeddings and outer products, scaled back by beta^(order-1).
+    The m-th derivative is beta^(m-1) times the m-th joint cumulant of the
+    one-hot vector of a coordinate drawn with the softmax weights pi.  Entry
+    (a_1..a_m) is a sum over the set partitions of the m positions into k
+    blocks, each adding (-1)^(k-1) (k-1)! times a product over its blocks of
+    pi at the block's index if all its indices agree, else 0.  Every entry is
+    evaluated at its sorted index tuple, so all entries of an orbit take the
+    same operations and the tensor is bitwise symmetric; sorted, a block's
+    indices agree exactly when its first and last do.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
@@ -94,24 +90,16 @@ def fbeta_derivative(z: np.ndarray, beta: float, order: int) -> np.ndarray:
     if order not in (1, 2, 3, 4):
         raise ValueError("order must be 1, 2, 3 or 4")
     pi = softmax_weights(z, beta)
-    if order == 1:
-        core = pi
-    elif order == 2:
-        core = np.diag(pi) - np.outer(pi, pi)
-    elif order == 3:
-        d3 = _diag_embed(pi, 3)
-        d21 = _sym(np.einsum("ab,c->abc", np.diag(pi), pi))
-        d111 = _sym(np.einsum("a,b,c->abc", pi, pi, pi))
-        core = d3 - 3.0 * d21 + 2.0 * d111
-    else:
-        d2 = np.diag(pi)
-        d4 = _diag_embed(pi, 4)
-        d31 = _sym(np.einsum("abc,d->abcd", _diag_embed(pi, 3), pi))
-        d22 = _sym(np.einsum("ab,cd->abcd", d2, d2))
-        d211 = _sym(np.einsum("ab,c,d->abcd", d2, pi, pi))
-        d1111 = _sym(np.einsum("a,b,c,d->abcd", pi, pi, pi, pi))
-        core = d4 - 4.0 * d31 - 3.0 * d22 + 12.0 * d211 - 6.0 * d1111
-    return beta ** (order - 1) * core
+    index = np.sort(np.indices((z.size,) * order).reshape(order, -1), axis=0)
+    # a block's factor, keyed by its first and last position
+    factor = {(i, j): np.where(index[i] == index[j], pi[index[i]], 0.0) for i in range(order) for j in range(i, order)}
+    core = np.zeros(index.shape[1])
+    for blocks in _set_partitions(list(range(order))):
+        term = (-1.0) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1)
+        for block in blocks:
+            term = term * factor[block[0], block[-1]]
+        core += term
+    return beta ** (order - 1) * core.reshape((z.size,) * order)
 
 
 def _fd_step(order: int) -> float:

@@ -580,6 +580,15 @@ def test_check_small_reps_fails_before_any_suite(capsys, suite):
     assert err == "error: --reps must be at least 10000 for the anticonc suite\n"
 
 
+def test_check_suite_all_is_every_suite_in_order(capsys):
+    flags = ["--trials", "200", "--reps", "10000", "--seed", "11"]
+    outputs = {}
+    for suite in ("all", "smoothmax", "lindeberg", "anticonc"):
+        assert main(["check", "--suite", suite, *flags]) == 0
+        outputs[suite] = capsys.readouterr().out
+    assert outputs.pop("all") == "".join(outputs.values())
+
+
 def test_check_smoothmax_suite_quick():
     proc = run_cli("check", "--suite", "smoothmax", "--trials", "300", "--seed", "2")
     assert proc.returncode == 0

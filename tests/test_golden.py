@@ -1,5 +1,6 @@
 """The run contract pinned by files: stdout and ``--figure-data`` of two small
-``maxboot run`` cells, one per dependence structure, all five laws.
+``maxboot run`` cells, one per dependence structure, all five laws, and the
+stdout of one small ``maxboot check`` over every suite.
 
 On the numpy and scipy versions that wrote the files the bytes must match.
 Elsewhere a library may round differently in its last bits, so the values are
@@ -30,6 +31,8 @@ RUNS = {
     "golden_I_abs": ["--experiment", "I", "--rho", "0.5", "--shape", "2", "--mode", "abs", "--format", "json"],
     "golden_II": ["--experiment", "II", "--rho", "0.2", "--shape", "1", "--seed", "11"],
 }
+CHECK = ["check", "--suite", "all", "--trials", "200", "--reps", "10000", "--seed", "11"]
+CHECK_FILE = "golden_check.jsonl"
 
 
 def results_file(name: str) -> str:
@@ -40,16 +43,24 @@ def versions() -> dict[str, str]:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def run(name: str, figure: Path) -> str:
-    """stdout of the named run, with its figure data written to ``figure``."""
+def stdout_of(argv: list[str]) -> str:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        assert main(["run", *SMALL, *RUNS[name], "--figure-data", str(figure)]) == 0
+        assert main(argv) == 0
     return stdout.getvalue()
 
 
+def run(name: str, figure: Path) -> str:
+    """stdout of the named run, with its figure data written to ``figure``."""
+    return stdout_of(["run", *SMALL, *RUNS[name], "--figure-data", str(figure)])
+
+
 def table(name: str, text: str) -> list[list]:
-    """The rows of a results or figure-data file, floats parsed."""
+    """The rows of a results, figure-data or check file, floats parsed; a check
+    line without its details, which only repeat its numbers as text."""
+    if name.endswith(".jsonl"):
+        keys = ("name", "passed", "trials", "max_violation")
+        return [[json.loads(line)[key] for key in keys] for line in text.splitlines()]
     if name.endswith(".json"):
         return [list(row.values()) for row in json.loads(text)]
     return [[number(v) for v in row] for row in csv.reader(io.StringIO(text))]
@@ -83,21 +94,36 @@ def first_difference(name: str, got: str, want: str, exact: bool) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_run_matches_golden_files(name, tmp_path):
+def compare(name: str, outputs: dict[str, str]) -> None:
+    """Each output against its file, by bytes on the versions that made the
+    files, else by values; prints which."""
     made = json.loads(VERSIONS.read_text())
     now = versions()
     exact = made == now
-    figure = tmp_path / "figure.csv"
-    stdout = run(name, figure)
-    for file, got in ((results_file(name), stdout), (name + "_figure.csv", figure.read_text())):
+    for file, got in outputs.items():
         problem = first_difference(file, got, (DATA / file).read_text(), exact)
         assert problem is None, f"{file} {problem} (files made on {made}, run on {now})"
     print(f"{name}: compared {'bytes' if exact else 'values'} (files made on {made}, run on {now})")
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_matches_golden_files(name, tmp_path):
+    figure = tmp_path / "figure.csv"
+    stdout = run(name, figure)
+    compare(name, {results_file(name): stdout, name + "_figure.csv": figure.read_text()})
+
+
+def test_check_matches_golden_file():
+    """Every suite's report lines.  The smooth-max derivative tensors of orders
+    2 to 4 do not reach them: in the l1 check, order 1 (the softmax weights,
+    l1 norm 1 up to rounding) gives both the worst excess and the largest
+    ratio.  The closed-form test in ``test_theorycheck.py`` pins those tensors."""
+    compare("check", {CHECK_FILE: stdout_of(CHECK)})
 
 
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     for name in RUNS:
         (DATA / results_file(name)).write_text(run(name, DATA / (name + "_figure.csv")))
+    (DATA / CHECK_FILE).write_text(stdout_of(CHECK))
     VERSIONS.write_text(json.dumps(versions()) + "\n")

@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 import multiprocessing
 import sys
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from maxboot import harness
 from maxboot.bootstrap import GAUSSIAN, BootstrapPlan
@@ -58,6 +60,28 @@ def test_truth_changes_with_seed():
     a = run_truth(tiny_config())
     b = run_truth(tiny_config(master_seed=999))
     assert not np.array_equal(a.sample, b.sample)
+
+
+@pytest.mark.parametrize("mode", list(MaxMode))
+@pytest.mark.parametrize("shape", [1.0, 0.05])
+@pytest.mark.parametrize("structure", list(Dependence))
+def test_truth_law_at_rho_zero_is_the_exact_law(structure, shape, mode):
+    # at rho 0 the columns are independent and a column sum of n gamma(a)
+    # draws is gamma(n a), so P(T_n <= t) is the p-th power of one column's
+    # probability; a one-sample KS test at level 0.001, fixed seed
+    n, p = 50, 100
+    cfg = tiny_config(
+        copula=CopulaSpec(structure, 0.0, shape), n=n, p=p, truth_reps=2000, master_seed=20250808, mode=mode
+    )
+    na, root_n = n * shape, math.sqrt(n)
+
+    def law(t):
+        column = special.gammainc(na, np.maximum(na + root_n * t, 0.0))
+        if mode is MaxMode.ABSOLUTE:
+            column -= special.gammainc(na, np.maximum(na - root_n * t, 0.0))
+        return column**p
+
+    assert stats.kstest(run_truth(cfg).sample, law).pvalue >= 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,26 @@ def test_derivatives_match_finite_differences(order, rel_tol, rng):
         assert rel <= rel_tol
 
 
+def test_derivative_entries_match_closed_forms():
+    # one entry per multiplicity pattern of the index, from the cumulants of
+    # the one-hot vector of a coordinate drawn with the softmax weights
+    z = np.array([0.3, -0.7, 1.1, 0.2])
+    a, b, c, d = softmax_weights(z, 1.0)
+    closed = {
+        (0, 0, 0): a - 3 * a**2 + 2 * a**3,
+        (0, 0, 1): -a * b + 2 * a**2 * b,
+        (0, 1, 2): 2 * a * b * c,
+        (0, 0, 0, 0): a - 7 * a**2 + 12 * a**3 - 6 * a**4,
+        (0, 0, 0, 1): -a * b + 6 * a**2 * b - 6 * a**3 * b,
+        (0, 0, 1, 1): -a * b + 2 * a**2 * b + 2 * a * b**2 - 6 * a**2 * b**2,
+        (0, 0, 1, 2): 2 * a * b * c - 6 * a**2 * b * c,
+        (0, 1, 2, 3): -6 * a * b * c * d,
+    }
+    tensors = {m: fbeta_derivative(z, 1.0, m) for m in (3, 4)}
+    for index, value in closed.items():
+        assert tensors[len(index)][index] == pytest.approx(value, rel=1e-13, abs=0.0), index
+
+
 def test_tensors_are_exactly_symmetric(rng):
     z = rng.standard_normal(4)
     for order in (2, 3, 4):
