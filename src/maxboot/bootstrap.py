@@ -30,6 +30,7 @@ __all__ = [
     "multiplier_moments",
     "multiplier_moment",
     "draw_multipliers",
+    "SCHEME_TOKENS",
     "BootstrapPlan",
     "bootstrap_stat_once",
     "bootstrap_distribution",
@@ -46,18 +47,22 @@ MAMMEN_PROB_PLUS = (math.sqrt(5.0) - 1.0) / (2.0 * math.sqrt(5.0))
 _MAMMEN_VALUES = np.array([MAMMEN_VALUE_MINUS, MAMMEN_VALUE_PLUS])
 _SIGNS = np.array([-1.0, 1.0])
 # each scheme's short spelling and law name; ``BootstrapPlan.parse`` takes either
-_SCHEME_TOKENS = {"g": "gaussian", "m": "mammen", "r": "rademacher", "e": "empirical", "mix": "mixed"}
+SCHEME_TOKENS = {"g": "gaussian", "m": "mammen", "r": "rademacher", "e": "empirical", "mix": "mixed"}
+# each multiplier law's (E W, E W^2, E W^3, E W^4); Mammen's fourth moment works
+# out to exactly 2, and the mixed law's depends on p0 (``multiplier_moment``)
+_MOMENTS = {"gaussian": (0.0, 1.0, 0.0, 3.0), "rademacher": (0.0, 1.0, 0.0, 1.0),
+            "mammen": (0.0, 1.0, 1.0, 2.0), "mixed": (0.0, 1.0, 1.0)}
 
 
 @dataclass(frozen=True)
 class MultiplierKind:
-    """Wild-bootstrap multiplier law: gaussian, rademacher, mammen, or mixed."""
+    """Wild-bootstrap multiplier law, named by a key of ``_MOMENTS``."""
 
     name: str
     p0: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in ("gaussian", "rademacher", "mammen", "mixed"):
+        if self.name not in _MOMENTS:
             raise ValueError(f"unknown multiplier law {self.name!r}")
         if self.name == "mixed":
             if self.p0 is None or not 0.0 < self.p0 < 1.0:
@@ -92,17 +97,10 @@ def multiplier_moment(kind: MultiplierKind, order: int) -> float:
     """Exact population moment E W^order, orders 1 through 4."""
     if order not in (1, 2, 3, 4):
         raise ValueError("order must be 1, 2, 3 or 4")
-    if kind.name == "gaussian":
-        return (0.0, 1.0, 0.0, 3.0)[order - 1]
-    if kind.name == "rademacher":
-        return (0.0, 1.0, 0.0, 1.0)[order - 1]
-    if kind.name == "mammen":
-        # fourth moment of the two-point law works out to exactly 2
-        return (0.0, 1.0, 1.0, 2.0)[order - 1]
-    a0, b0 = mixed_coefficients(kind.p0)
-    if order == 4:
+    if kind.name == "mixed" and order == 4:
+        a0, b0 = mixed_coefficients(kind.p0)
         return kind.p0 * a0**4 * 3.0 + (1.0 - kind.p0) * b0**4 * 2.0
-    return (0.0, 1.0, 1.0)[order - 1]
+    return _MOMENTS[kind.name][order - 1]
 
 
 def multiplier_moments(kind: MultiplierKind) -> tuple[float, float, float]:
@@ -149,19 +147,17 @@ class BootstrapPlan:
 
     @classmethod
     def parse(cls, token: str, b_reps: int = 500) -> "BootstrapPlan":
-        """The plan a scheme token names: g, m, r, e or mix[:p0], or a law's
-        full name, in any case.  Only the mixed law takes ``:p0``; a bare
-        ``mix`` has ``mixed_multiplier``'s default p0."""
+        """The plan a scheme token names: a key or a law name of
+        ``SCHEME_TOKENS``, in any case.  Only the mixed law takes ``:p0``; a
+        bare ``mix`` has ``mixed_multiplier``'s default p0."""
         token = token.strip().lower()
         name, _, arg = token.partition(":")
-        law = _SCHEME_TOKENS.get(name, name)
-        if law not in _SCHEME_TOKENS.values():
-            raise ValueError(f"unknown scheme {token!r} (use g, m, r, e, mix[:p0])")
+        law = SCHEME_TOKENS.get(name, name)
+        if law not in SCHEME_TOKENS.values():
+            raise ValueError(f"unknown scheme {token!r} (use {', '.join(SCHEME_TOKENS)}[:p0])")
         try:
             p0 = float(arg) if arg else mixed_multiplier().p0 if law == "mixed" else None
-            if law == "empirical" and p0 is not None:
-                raise ValueError("the empirical bootstrap takes no p0")
-            multiplier = None if law == "empirical" else MultiplierKind(law, p0)
+            multiplier = None if (law, p0) == ("empirical", None) else MultiplierKind(law, p0)
         except ValueError:
             raise ValueError(f"bad scheme {token!r} (use mix[:p0] with p0 a number in (0, 1))") from None
         return cls(multiplier, b_reps)

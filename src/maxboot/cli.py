@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from maxboot import theorycheck
-from maxboot.bootstrap import BootstrapPlan
+from maxboot.bootstrap import SCHEME_TOKENS, BootstrapPlan
 from maxboot.datagen import CopulaSpec, DataMatrix
 from maxboot.harness import (
     EXPERIMENTS,
@@ -53,7 +53,7 @@ _RUN_KEYS = {
     "breps": (int, 500, None, "bootstrap replicates per dataset"),
     "alpha": (float, 0.05, None, None),
     "mode": (str, "onesided", tuple(mode.value for mode in MaxMode), None),
-    "schemes": (str, "g,m,r,e", None, "comma list: g,m,r,e,mix[:p0]"),
+    "schemes": (str, "g,m,r,e", None, f"comma list: {','.join(SCHEME_TOKENS)}[:p0]"),
     "seed": (int, 20250808, None, None),
     "jobs": (int, 1, None, "parallel workers over truth and outer replicates"),
     "format": (str, "csv", FORMATS, None),

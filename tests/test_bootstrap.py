@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from maxboot import _kernels, bootstrap
 from maxboot.bootstrap import (
@@ -315,6 +316,79 @@ def test_rademacher_exact_enumeration_oracle():
     plan = BootstrapPlan.wild(RADEMACHER, b_reps=b)
     d = bootstrap_distribution(data, plan, MaxMode.ONE_SIDED, seed(24))
     assert d.sample.mean() == pytest.approx(exact_mean, abs=4 * exact_sd / math.sqrt(b))
+
+
+ORACLE_B = 20_000
+# the Dvoretzky-Kiefer-Wolfowitz bound (Massart's constant) at level 0.001:
+# P(KS of b draws from a law against that law > DKW_BOUND) <= 0.001
+DKW_BOUND = math.sqrt(math.log(2.0 / 1e-3) / (2 * ORACLE_B))
+
+
+def two_point_law(minus: float, plus: float, p_plus: float, n: int):
+    """Every weight vector of n i.i.d. two-point draws, with its probability."""
+    weights = np.array(list(itertools.product([minus, plus], repeat=n)))
+    return weights, np.prod(np.where(weights == plus, p_plus, 1.0 - p_plus), axis=1)
+
+
+def multinomial_law(n: int):
+    """Every count vector of n draws from n rows, with its probability."""
+    draws = itertools.combinations_with_replacement(range(n), n)
+    counts = np.array([np.bincount(d, minlength=n) for d in draws])
+    return counts, stats.multinomial(n, np.full(n, 1.0 / n)).pmf(counts)
+
+
+ENUMERATED_LAWS = {
+    "rademacher": (RADEMACHER, 10, lambda: two_point_law(-1.0, 1.0, 0.5, 10)),
+    "mammen": (
+        MAMMEN, 10, lambda: two_point_law(MAMMEN_VALUE_MINUS, MAMMEN_VALUE_PLUS, MAMMEN_PROB_PLUS, 10)
+    ),
+    "empirical": (None, 6, lambda: multinomial_law(6)),
+}
+
+
+@pytest.mark.parametrize("master", [20250808, 11])
+@pytest.mark.parametrize("mode", list(MaxMode))
+@pytest.mark.parametrize("law", list(ENUMERATED_LAWS))
+def test_bootstrap_law_is_its_enumerated_exact_law(law, mode, master):
+    # the exact conditional law of T* = max_j sum_i w_i xc_ij / sqrt(n) over
+    # every weight vector w, against b draws of the pipeline: every draw must
+    # lie on the exact support, and the KS distance must be within the DKW
+    # bound.  An empirical law drawing its indices from n - 1 rows gives KS
+    # 0.10-0.25 and fails every case; a 5% shift of Mammen's P+ either way
+    # gives 0.011-0.023, near the bound 0.0138, so it fails only some cases.
+    # Values are rounded to 1e-9 before atoms are merged: the GEMM and a
+    # matvec round the zero-sum atom to different +-1e-17 values.
+    multiplier, n, enumerate_law = ENUMERATED_LAWS[law]
+    values = SeedSpec(master).child(90).rng().standard_normal((n, 3))
+    weights, probs = enumerate_law()
+    sums = weights @ (values - values.mean(axis=0)) / math.sqrt(n)
+    exact = np.round((np.abs(sums) if mode is MaxMode.ABSOLUTE else sums).max(axis=1), 9)
+    atoms, where = np.unique(exact, return_inverse=True)
+    cdf = np.cumsum(np.bincount(where, weights=probs))
+    left = np.concatenate(([0.0], cdf[:-1]))
+    plan = BootstrapPlan(multiplier, ORACLE_B)
+    draws = bootstrap_distribution(DataMatrix(values), plan, mode, SeedSpec(master).child(91, n))
+    sample = np.round(draws.sample, 9)
+    assert np.isin(sample, atoms).all()
+    ks = max(
+        np.abs(np.searchsorted(sample, atoms, "right") / ORACLE_B - cdf).max(),
+        np.abs(np.searchsorted(sample, atoms, "left") / ORACLE_B - left).max(),
+    )
+    assert ks <= DKW_BOUND
+
+
+@pytest.mark.parametrize("master", [20250808, 11])
+@pytest.mark.parametrize("mode", list(MaxMode))
+def test_gaussian_bootstrap_law_at_p_one_is_normal(mode, master):
+    # at p 1, T* = sum_i w_i xc_i / sqrt(n) is exactly N(0, sum_i xc_i^2 / n),
+    # and its absolute value in abs mode; KS within the DKW bound
+    n = 10
+    values = SeedSpec(master).child(90).rng().standard_normal((n, 1))
+    scale = math.sqrt(np.sum((values - values.mean()) ** 2) / n)
+    law = stats.halfnorm(scale=scale) if mode is MaxMode.ABSOLUTE else stats.norm(scale=scale)
+    plan = BootstrapPlan.wild(GAUSSIAN, ORACLE_B)
+    draws = bootstrap_distribution(DataMatrix(values), plan, mode, SeedSpec(master).child(91, n))
+    assert stats.kstest(draws.sample, law.cdf).statistic <= DKW_BOUND
 
 
 def test_b_reps_one_matches_stat_once_substream():

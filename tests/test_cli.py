@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from maxboot import harness
+from maxboot.bootstrap import SCHEME_TOKENS, BootstrapPlan, MultiplierKind
 from maxboot.cli import _RUN_KEYS, build_config, main
 from maxboot.datagen import Dependence
 from maxboot.moments import Centering, RateCertificate
@@ -145,6 +146,24 @@ def test_mixed_scheme_bad_p0_names_token(capsys):
     assert main(["run", "--schemes", "g,mix:abc"]) == 1
     err = capsys.readouterr().err
     assert "'mix:abc'" in err and "mix[:p0]" in err
+
+
+def test_scheme_tokens_are_spelled_once(capsys, monkeypatch):
+    # the --schemes help and the unknown-scheme error are built from
+    # SCHEME_TOKENS, and every key and law name in it parses to that law
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main(["run", "--help"]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines() if "--schemes SCHEMES  " in line)
+    assert re.split(r"\s{2,}", line.strip())[1] == "comma list: " + ",".join(SCHEME_TOKENS) + "[:p0]"
+    assert main(["run", "--schemes", "zzz"]) == 1
+    assert f"(use {', '.join(SCHEME_TOKENS)}[:p0])" in capsys.readouterr().err
+    for key, law in SCHEME_TOKENS.items():
+        for token in (key, law, key.upper(), law.upper()):
+            assert BootstrapPlan.parse(token).name == law
+        if law != "empirical":
+            assert MultiplierKind(law, 0.5 if law == "mixed" else None).name == law
+    with pytest.raises(ValueError, match="unknown multiplier law 'empirical'"):
+        MultiplierKind("empirical")
 
 
 @pytest.mark.parametrize("token", ["mix:2", "mix:0"])
