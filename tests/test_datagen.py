@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from scipy import special
 
+from maxboot import datagen
 from maxboot.datagen import (
     _EDGE,
     _INTERVALS,
     _PIECE,
+    _STACK,
     _STEP,
     CopulaSpec,
     DataMatrix,
     Dependence,
     _exact_transform,
     _normal_to_gamma,
+    _sample_block,
     _transform_table,
     gamma_quantile,
     sample_gaussian_copula,
@@ -285,6 +288,66 @@ def test_transform_matches_one_shot_evaluation(a):
     assert _normal_to_gamma(y[:0], a).shape == (0,)
     assert _normal_to_gamma(y, a).tobytes() == expected.tobytes()
     assert (np.abs(y) > _EDGE).sum() > 100
+
+
+# ---------------------------------------------------------------------------
+# the block sampler: stacks of AR(1) datasets
+# ---------------------------------------------------------------------------
+
+
+def block_bytes(spec: CopulaSpec, n: int, p: int, seeds: list) -> list[tuple[bytes, bytes]]:
+    return [(d.values.tobytes(), d.known_mean.tobytes()) for d in _sample_block(spec, n, p, seeds)]
+
+
+def per_seed_bytes(spec: CopulaSpec, n: int, p: int, seeds: list) -> list[tuple[bytes, bytes]]:
+    datasets = [sample_gaussian_copula(spec, n, p, s) for s in seeds]
+    return [(d.values.tobytes(), d.known_mean.tobytes()) for d in datasets]
+
+
+@pytest.mark.parametrize("structure", list(Dependence))
+@pytest.mark.parametrize("rho", (0.0, 0.9))
+@pytest.mark.parametrize("a", (1.0, 0.05))
+@pytest.mark.parametrize("n", (1, 2, 200))
+@pytest.mark.parametrize("p", (1, 2, 100))
+def test_block_sampler_matches_per_seed_calls(structure, rho, a, n, p):
+    # 1 to 9 seeds: the last stack is full at 4 and 8 and partial elsewhere
+    spec = CopulaSpec(structure, rho, a)
+    seeds = [seed(8, n, p, i) for i in range(9)]
+    for count in range(1, 10):
+        assert block_bytes(spec, n, p, seeds[:count]) == per_seed_bytes(spec, n, p, seeds[:count])
+
+
+def stack_size(spec: CopulaSpec, n: int, p: int) -> int:
+    """How many seeds the block sampler takes before yielding its first dataset."""
+    taken = []
+    seeds = (taken.append(i) or seed(9, i) for i in range(9))
+    next(_sample_block(spec, n, p, seeds))
+    return len(taken)
+
+
+@pytest.mark.parametrize("cap_in_datasets, expected", [(0.5, 1), (1, 1), (2, 2), (2.9, 2), (4, 4), (40, 4)])
+def test_stack_is_capped_in_bytes(monkeypatch, cap_in_datasets, expected):
+    # past the cap, fewer datasets share a stack, down to one at a time
+    n, p = 30, 7
+    spec = CopulaSpec(Dependence.AR1, 0.5, 2.0)
+    monkeypatch.setattr(datagen, "_STACK_BYTES", int(cap_in_datasets * 8 * n * p))
+    assert stack_size(spec, n, p) == expected
+    seeds = [seed(10, i) for i in range(7)]
+    assert block_bytes(spec, n, p, seeds) == per_seed_bytes(spec, n, p, seeds)
+
+
+def test_stack_sizes_by_structure_and_size():
+    assert stack_size(CopulaSpec(Dependence.AR1, 0.2, 1.0), 200, 400) == _STACK
+    assert stack_size(CopulaSpec(Dependence.AR1, 0.2, 1.0), 2000, 400) == 1
+    assert stack_size(CopulaSpec(Dependence.EQUICORRELATED, 0.2, 1.0), 200, 100) == 1
+
+
+def test_unallocatable_dataset_fails_on_its_own_array():
+    # numpy refuses one (n, p) latent matrix before anything is touched; a
+    # stack of four would overflow the size instead
+    spec = CopulaSpec(Dependence.AR1, 0.2, 1.0)
+    with pytest.raises(MemoryError, match=r"shape \(1000000000, 1000000000\)"):
+        next(_sample_block(spec, 10**9, 10**9, [seed(11, i) for i in range(4)]))
 
 
 # ---------------------------------------------------------------------------

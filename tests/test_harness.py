@@ -3,7 +3,10 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,3 +399,27 @@ def test_figure_data_preserves_exact_means(tmp_path):
         col = [float(r["value"]) for r in parsed if r["scheme"] == row.scheme]
         assert len(col) == cfg.outer_reps
         assert np.mean(col) == pytest.approx(row.mean, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# perfbench's traced cell
+# ---------------------------------------------------------------------------
+
+
+def test_perfbench_traced_cell_runs():
+    # perfbench/cell.py's tracer rebinds names of harness, datagen and rng by
+    # attribute, so a name that harness stops importing fails every traced cell
+    root = Path(__file__).resolve().parents[1]
+    argv = ["run", "--experiment", "II", "--n", "20", "--p", "5", "--outer", "2",
+            "--truth", "20", "--breps", "20", "--schemes", "g,e"]
+    src = str(root / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "cell.py"), str(time.monotonic_ns()), "trace", json.dumps(argv)],
+        capture_output=True, text=True, cwd=root, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exit"] == 0
+    assert result["layers"]["harness.run_experiment"]["calls"] == 1
