@@ -3,10 +3,11 @@ Kolmogorov-Smirnov and coverage metrics, and deterministic file emission.
 
 Blocks of replicates are the parallel unit.  Both phases of a run, the
 truth law and then the outer replicates, go through one block runner, opened
-once per run: the builtin ``map`` at one job, else one worker pool.  Every
-replicate derives its own random substream from the master seed, and the
-runner collects the blocks in order, so results are byte-identical at any
-worker count.
+once per run.  The calling process computes every jobs-th block itself and
+one pool of jobs - 1 workers, opened only above one job, computes the rest.
+Every replicate derives its own random substream from the master seed, and
+the runner collects the blocks in order, so results are byte-identical at
+any worker count.
 """
 
 from __future__ import annotations
@@ -167,23 +168,26 @@ def _block_map(jobs: int):
     """The run's one block runner: ``run(fn, total, out, what)`` maps ``fn``
     in order over the blocks of ``range(total)``, ceil(total / (8 jobs))
     replicates each, appends each block's items to ``out`` (where they stay on
-    an interrupt) and logs how many ``what`` replicates are done.  It maps with
-    ``map`` at one job, else with ``imap`` of one pool whose workers ignore
-    SIGINT and are terminated on leaving, so an interrupt never waits on them."""
+    an interrupt) and logs how many ``what`` replicates are done.  The calling
+    process is one of the ``jobs``: it computes blocks 0, jobs, 2 jobs, ...
+    itself, and one pool of jobs - 1 workers (none at one job) computes the
+    others through one ``imap``.  The workers ignore SIGINT and are terminated
+    on leaving, so an interrupt never waits on them."""
     check_jobs(jobs)
     with contextlib.ExitStack() as stack:
-        block_map = map
+        pool = None
         if jobs > 1:
             # Linux forks the workers, with numpy and scipy imported, whatever
             # the default start method (forkserver from Python 3.14); elsewhere, spawn
             context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-            pool = context.Pool(jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN))
-            block_map = stack.enter_context(pool).imap
+            pool = stack.enter_context(context.Pool(jobs - 1, signal.signal, (signal.SIGINT, signal.SIG_IGN)))
 
         def run(fn, total: int, out: list, what: str) -> None:
             size = max(1, math.ceil(total / (jobs * 8)))
-            for items in block_map(fn, (range(lo, min(lo + size, total)) for lo in range(0, total, size))):
-                out.extend(items)
+            blocks = [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
+            pooled = pool.imap(fn, [block for i, block in enumerate(blocks) if i % jobs]) if pool else None
+            for i, block in enumerate(blocks):
+                out.extend(next(pooled) if i % jobs else fn(block))
                 logger.info("%s replicates done: %d of %d", what, len(out), total)
 
         yield run

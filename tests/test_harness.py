@@ -145,12 +145,16 @@ def test_coverage_is_multiple_of_one_over_outer():
 
 
 def test_parallel_results_identical():
+    # at three jobs this process runs a third of the blocks, at two and four
+    # a half and a quarter
     cfg = tiny_config(outer_reps=10)
     a = run_experiment(cfg, jobs=1)
-    b = run_experiment(cfg, jobs=4)
-    assert a.rows == b.rows
-    for scheme in a.per_rep_ks:
-        assert np.array_equal(a.per_rep_ks[scheme], b.per_rep_ks[scheme])
+    for jobs in (2, 3, 4):
+        b = run_experiment(cfg, jobs=jobs)
+        assert a.rows == b.rows
+        for scheme in a.per_rep_ks:
+            assert b.per_rep_ks[scheme].tobytes() == a.per_rep_ks[scheme].tobytes()
+            assert b.per_rep_cover[scheme].tobytes() == a.per_rep_cover[scheme].tobytes()
 
 
 def test_degenerate_truth_ks_exact():
@@ -213,6 +217,78 @@ def test_interrupt_in_the_truth_phase_flushes_nothing(monkeypatch):
         run_experiment(tiny_config(), jobs=1, on_interrupt=flushed.append)
     assert len(calls) == 2
     assert flushed == []
+
+
+# this process's pid and the directory that the blocks below record pids in;
+# set before a run forks its workers, which inherit both
+WITNESS = {}
+
+
+def record_pid(phase, reps):
+    """Record which process runs the block starting at replicate ``reps.start``;
+    a pool worker then sleeps, so that the next pool block goes to an idle worker."""
+    (WITNESS["dir"] / f"{phase}-{reps.start}").write_text(str(os.getpid()))
+    if os.getpid() != WITNESS["parent"]:
+        time.sleep(0.02)
+
+
+def truth_block_recording_pid(config, reps, block=harness._truth_block):
+    record_pid("truth", reps)
+    return block(config, reps)
+
+
+def outer_block_recording_pid(config, truth, reps, block=harness._outer_block):
+    record_pid("outer", reps)
+    return block(config, truth, reps)
+
+
+def outer_block_interrupted_here(config, truth, reps, block=harness._outer_block):
+    if reps.start == 2 and os.getpid() == WITNESS["parent"]:
+        raise KeyboardInterrupt
+    return block(config, truth, reps)
+
+
+forks_workers = pytest.mark.skipif(sys.platform != "linux", reason="workers are forked only on Linux")
+
+
+@forks_workers
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_this_process_is_one_of_the_jobs(tmp_path, monkeypatch, jobs):
+    # this process runs blocks 0, jobs, 2 jobs, ... of both phases, and
+    # jobs - 1 forked workers run the others
+    monkeypatch.setitem(WITNESS, "dir", tmp_path)
+    monkeypatch.setitem(WITNESS, "parent", os.getpid())
+    monkeypatch.setattr(harness, "_truth_block", truth_block_recording_pid)
+    monkeypatch.setattr(harness, "_outer_block", outer_block_recording_pid)
+    run_experiment(tiny_config(outer_reps=4, truth_reps=20), jobs=jobs)
+    pids = set()
+    for phase in ("truth", "outer"):
+        ran = sorted((int(path.name.split("-")[1]), int(path.read_text())) for path in tmp_path.glob(f"{phase}-*"))
+        here = [block for block, (_, pid) in enumerate(ran) if pid == os.getpid()]
+        assert here == list(range(0, len(ran), jobs))
+        pids.update(pid for _, pid in ran)
+    assert len(pids) == jobs
+    assert os.getpid() in pids
+
+
+@forks_workers
+def test_interrupt_in_a_block_this_process_runs(monkeypatch):
+    # 16 outer replicates at two jobs run as 16 blocks of one; block 2 runs
+    # here and is interrupted after blocks 0 (here) and 1 (in the worker)
+    monkeypatch.setitem(WITNESS, "parent", os.getpid())
+    block = harness._outer_block
+    monkeypatch.setattr(harness, "_outer_block", outer_block_interrupted_here)
+    flushed = []
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(tiny_config(outer_reps=16), jobs=2, on_interrupt=flushed.append)
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(harness, "_outer_block", block)
+    clean = run_experiment(tiny_config(outer_reps=2))
+    assert len(flushed) == 1
+    assert flushed[0].rows == clean.rows
+    for scheme, values in clean.per_rep_ks.items():
+        assert flushed[0].per_rep_ks[scheme].tobytes() == values.tobytes()
 
 
 def count_pools(monkeypatch, pick=lambda asked: asked):
