@@ -4,7 +4,8 @@ Kolmogorov-Smirnov and coverage metrics, and deterministic file emission.
 Blocks of replicates are the parallel unit.  Both phases of a run, the
 truth law and then the outer replicates, go through one block runner, opened
 once per run.  The calling process computes every jobs-th block itself and
-one pool of jobs - 1 workers, opened only above one job, computes the rest.
+jobs - 1 worker processes, started only above one job, compute the rest,
+each talking to it over one pipe.
 Every replicate derives its own random substream from the master seed, and
 the runner collects the blocks in order, so results are byte-identical at
 any worker count.
@@ -163,6 +164,45 @@ def _outer_block(
     return out
 
 
+def _serve(conn) -> None:
+    """A worker's loop: for each ``(fn, blocks)`` it receives, send back each
+    block's items in order, or the exception a block raised and no more of
+    those blocks; return when the run's process has closed its end."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            fn, blocks = conn.recv()
+        except EOFError:
+            return
+        for block in blocks:
+            try:
+                conn.send(fn(block))
+            except Exception as exc:
+                conn.send(exc)
+                break
+
+
+@contextlib.contextmanager
+def _alive(worker):
+    """Raise ChildProcessError, naming the exit code, when the pipe to
+    ``worker`` breaks because the worker has died."""
+    try:
+        yield
+    except (EOFError, ConnectionError):
+        worker.join()
+        raise ChildProcessError(f"worker process {worker.pid} died with exit code {worker.exitcode}") from None
+
+
+def _receive(worker, conn) -> list:
+    """The next block's items from ``worker``, raising the exception the block
+    raised there."""
+    with _alive(worker):
+        items = conn.recv()
+    if isinstance(items, BaseException):
+        raise items
+    return items
+
+
 @contextlib.contextmanager
 def _block_map(jobs: int):
     """The run's one block runner: ``run(fn, total, out, what)`` maps ``fn``
@@ -170,27 +210,41 @@ def _block_map(jobs: int):
     replicates each, appends each block's items to ``out`` (where they stay on
     an interrupt) and logs how many ``what`` replicates are done.  The calling
     process is one of the ``jobs``: it computes blocks 0, jobs, 2 jobs, ...
-    itself, and one pool of jobs - 1 workers (none at one job) computes the
-    others through one ``imap``.  The workers ignore SIGINT and are terminated
+    itself, and worker w of jobs - 1 (none at one job), started once per run,
+    computes the blocks i with i mod jobs = w + 1.  Each phase sends a worker
+    ``fn`` and its blocks once, over the worker's one pipe, and the items come
+    back on it block by block.  The workers ignore SIGINT and are terminated
     on leaving, so an interrupt never waits on them."""
     check_jobs(jobs)
-    with contextlib.ExitStack() as stack:
-        pool = None
-        if jobs > 1:
-            # Linux forks the workers, with numpy and scipy imported, whatever
-            # the default start method (forkserver from Python 3.14); elsewhere, spawn
-            context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-            pool = stack.enter_context(context.Pool(jobs - 1, signal.signal, (signal.SIGINT, signal.SIG_IGN)))
+    # Linux forks the workers, with numpy and scipy imported, whatever the
+    # default start method (forkserver from Python 3.14); elsewhere, spawn
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    workers = []
+    try:
+        for _ in range(jobs - 1):
+            conn, child_conn = context.Pipe()
+            worker = context.Process(target=_serve, args=(child_conn,), daemon=True)
+            worker.start()
+            child_conn.close()
+            workers.append((worker, conn))
 
         def run(fn, total: int, out: list, what: str) -> None:
             size = max(1, math.ceil(total / (jobs * 8)))
             blocks = [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
-            pooled = pool.imap(fn, [block for i, block in enumerate(blocks) if i % jobs]) if pool else None
+            for w, (worker, conn) in enumerate(workers, 1):
+                with _alive(worker):
+                    conn.send((fn, blocks[w::jobs]))
             for i, block in enumerate(blocks):
-                out.extend(next(pooled) if i % jobs else fn(block))
+                out.extend(_receive(*workers[i % jobs - 1]) if i % jobs else fn(block))
                 logger.info("%s replicates done: %d of %d", what, len(out), total)
 
         yield run
+    finally:
+        for worker, _ in workers:
+            worker.terminate()
+        for worker, conn in workers:
+            worker.join()
+            conn.close()
 
 
 def _truth_law(config: ExperimentConfig, run) -> EmpiricalDistribution:

@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import functools
 import json
 import math
 import multiprocessing
 import os
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -12,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from maxboot import harness
+from maxboot import cli, harness
 from maxboot.bootstrap import GAUSSIAN, BootstrapPlan
 from maxboot.datagen import CopulaSpec, Dependence
 from maxboot.harness import (
@@ -225,11 +229,8 @@ WITNESS = {}
 
 
 def record_pid(phase, reps):
-    """Record which process runs the block starting at replicate ``reps.start``;
-    a pool worker then sleeps, so that the next pool block goes to an idle worker."""
+    """Record which process runs the block starting at replicate ``reps.start``."""
     (WITNESS["dir"] / f"{phase}-{reps.start}").write_text(str(os.getpid()))
-    if os.getpid() != WITNESS["parent"]:
-        time.sleep(0.02)
 
 
 def truth_block_recording_pid(config, reps, block=harness._truth_block):
@@ -246,6 +247,37 @@ def outer_block_interrupted_here(config, truth, reps, block=harness._outer_block
     if reps.start == 2 and os.getpid() == WITNESS["parent"]:
         raise KeyboardInterrupt
     return block(config, truth, reps)
+
+
+def outer_block_failing_in_a_worker(config, truth, reps, block=harness._outer_block):
+    if os.getpid() != WITNESS["parent"]:
+        WITNESS["fail"]()
+    return block(config, truth, reps)
+
+
+def kill_this_process():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def raise_boom():
+    raise ValueError("boom")
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, when the body runs longer than ``seconds``; the
+    timer fires again every second, so clean-up that hangs fails too."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 forks_workers = pytest.mark.skipif(sys.platform != "linux", reason="workers are forked only on Linux")
@@ -291,35 +323,90 @@ def test_interrupt_in_a_block_this_process_runs(monkeypatch):
         assert flushed[0].per_rep_ks[scheme].tobytes() == values.tobytes()
 
 
+@forks_workers
+def test_a_killed_worker_fails_the_run(monkeypatch, capsys):
+    # a worker killed in its first outer block, as by the OOM killer, ends
+    # the run with an error that names its exit code, and leaves no children
+    monkeypatch.setitem(WITNESS, "parent", os.getpid())
+    monkeypatch.setitem(WITNESS, "fail", kill_this_process)
+    monkeypatch.setattr(harness, "_outer_block", outer_block_failing_in_a_worker)
+    with deadline(20), pytest.raises(ChildProcessError, match=r"^worker process \d+ died with exit code -9$"):
+        run_experiment(tiny_config(outer_reps=4, truth_reps=20), jobs=2)
+    assert multiprocessing.active_children() == []
+
+    argv = ["run", "--n", "20", "--p", "5", "--outer", "4", "--truth", "20", "--breps", "20", "--jobs", "2"]
+    with deadline(20):
+        assert cli.main(argv) == 1
+    assert re.fullmatch(r"error: worker process \d+ died with exit code -9\n", capsys.readouterr().err)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_dead_between_phases_fails_the_next_phase():
+    cfg = tiny_config(truth_reps=20)
+    with deadline(20), harness._block_map(2) as run:
+        run(functools.partial(harness._truth_block, cfg), 20, [], "truth")
+        (worker,) = multiprocessing.active_children()
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join()
+        with pytest.raises(ChildProcessError, match=r"^worker process \d+ died with exit code -9$"):
+            run(functools.partial(harness._truth_block, cfg), 20, [], "truth")
+    assert multiprocessing.active_children() == []
+
+
+@forks_workers
+def test_an_exception_in_a_worker_reaches_this_process(monkeypatch):
+    monkeypatch.setitem(WITNESS, "parent", os.getpid())
+    monkeypatch.setitem(WITNESS, "fail", raise_boom)
+    monkeypatch.setattr(harness, "_outer_block", outer_block_failing_in_a_worker)
+    with deadline(20), pytest.raises(ValueError, match="^boom$"):
+        run_experiment(tiny_config(outer_reps=4, truth_reps=20), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
 def count_pools(monkeypatch, pick=lambda asked: asked):
     """Route ``multiprocessing.get_context(asked)`` to the context ``pick(asked)``
-    names, and return the start methods of the pools opened through it."""
+    names, and return the start methods of the worker processes made through it."""
     get_context = multiprocessing.get_context
-    opened = []
+    started = []
 
     class CountingContext:
         def __init__(self, context):
             self.context = context
 
-        def Pool(self, *args, **kwargs):
-            opened.append(self.context.get_start_method())
-            return self.context.Pool(*args, **kwargs)
+        def __getattr__(self, name):  # Pipe and the rest
+            return getattr(self.context, name)
+
+        def Process(self, *args, **kwargs):
+            started.append(self.context.get_start_method())
+            return self.context.Process(*args, **kwargs)
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda asked=None: CountingContext(get_context(pick(asked))))
-    return opened
+    return started
 
 
 def test_one_pool_per_run(monkeypatch):
-    # both phases of a run share one pool; one job opens none
-    opened = count_pools(monkeypatch)
+    # a run starts jobs - 1 workers, which serve both of its phases; one job starts none
+    started = count_pools(monkeypatch)
     cfg = tiny_config(outer_reps=4, truth_reps=20)
-    run_experiment(cfg, jobs=2)
-    assert len(opened) == 1
-    run_truth(cfg, jobs=2)
-    assert len(opened) == 2
-    run_experiment(cfg, jobs=1)
-    run_truth(cfg, jobs=1)
-    assert len(opened) == 2
+    for jobs in (2, 3, 1):
+        started.clear()
+        run_experiment(cfg, jobs=jobs)
+        assert len(started) == jobs - 1
+        run_truth(cfg, jobs=jobs)
+        assert len(started) == 2 * (jobs - 1)
+
+
+def test_a_run_at_two_jobs_leaves_no_pool_module_or_thread():
+    # the workers are plain processes on pipes: no pool module, and no
+    # handler thread beside the main one
+    code = (
+        "import sys, threading; from maxboot import cli; "
+        "code = cli.main(['run', '--n', '20', '--p', '5', '--outer', '4', '--truth', '20', "
+        "'--breps', '20', '--jobs', '2']); "
+        "print(code, 'multiprocessing.pool' in sys.modules, threading.active_count())"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False 1", proc.stderr
 
 
 def needs_start_method(method):
@@ -331,10 +418,10 @@ def needs_start_method(method):
 @needs_start_method("forkserver")
 def test_pool_forks_on_linux_whatever_the_default(monkeypatch):
     # forkserver stands in for the interpreter's default, as from Python 3.14
-    opened = count_pools(monkeypatch, lambda asked: asked or "forkserver")
+    started = count_pools(monkeypatch, lambda asked: asked or "forkserver")
     cfg = tiny_config(truth_reps=20)
     assert np.array_equal(run_truth(cfg, jobs=2).sample, run_truth(cfg, jobs=1).sample)
-    assert opened == ["fork" if sys.platform == "linux" else "forkserver"]
+    assert started == ["fork" if sys.platform == "linux" else "forkserver"]
 
 
 @pytest.mark.parametrize(
@@ -345,9 +432,9 @@ def test_rows_are_byte_identical_under_every_start_method(monkeypatch, method):
     # default from Python 3.14
     cfg = tiny_config(outer_reps=4, truth_reps=20)
     serial = run_experiment(cfg, jobs=1)
-    opened = count_pools(monkeypatch, lambda asked: method)
+    started = count_pools(monkeypatch, lambda asked: method)
     pooled = run_experiment(cfg, jobs=2)
-    assert opened == [method]
+    assert started == [method]
     assert pooled.rows == serial.rows
     assert pooled.per_rep_ks.keys() == serial.per_rep_ks.keys()
     for name, values in serial.per_rep_ks.items():
