@@ -6,6 +6,14 @@ standard normal CDF and the gamma(shape, 1) quantile.  Both structures are
 generated by exact O(np) constructions (common factor / first-order
 recursion) rather than a Cholesky factor, which gives the identical law.
 
+The block sampler (``_sample_block``, through which runs draw every dataset)
+composes three stages for each stack of consecutive seeds.  ``_raw_normals``
+draws each seed's N(0,1) normals from its own stream; for a given structure
+they depend only on the seed, n and p.  ``_correlate`` applies the
+common-factor mix or the AR(1) recursion to them in place, by rho.
+``_gamma_data`` transforms each dataset's latent matrix, by shape, into an
+array of its own.
+
 The transform is tabulated once per shape a and process, on first use: g(y) =
 log x at y_k = -9 + k/512 from the exact inverse (``gammaincinv(a, ndtr(y))``,
 or ``gammainccinv(a, ndtr(-y))`` for y > 0) with exact slopes g' = phi(y) /
@@ -23,9 +31,8 @@ same IEEE operations as a one-shot, temporary-per-step evaluation, so the
 output is the same to the byte.
 
 The AR(1) recursion makes two ufunc calls per column whatever the row count,
-so at n = 200 it is mostly per-call overhead.  The block sampler
-(``_sample_block``, through which runs draw every dataset) therefore stacks
-the rows of up to four consecutive seeds' datasets in one (k n, p) matrix.
+so at n = 200 it is mostly per-call overhead.  The block sampler therefore
+stacks the rows of up to four consecutive seeds' datasets in one (k n, p) matrix.
 Each seed fills its own n rows from its own stream, exactly as
 ``standard_normal((n, p))`` would; one recursion runs down the stacked columns;
 then each dataset's rows are transformed into an array of its own.  A row's
@@ -216,44 +223,44 @@ _STACK, _STACK_BYTES = 4, 1 << 23  # AR(1) datasets per stack, and its cap in by
 
 
 def _sample_block(spec: CopulaSpec, n: int, p: int, seeds: Iterable[SeedSpec]) -> Iterator[DataMatrix]:
-    """``sample_gaussian_copula(spec, n, p, seed)`` for each seed in turn,
-    with the AR(1) recursion run once per stack of consecutive seeds."""
+    """``sample_gaussian_copula(spec, n, p, seed)`` for each seed in turn, a stack
+    of consecutive seeds at a time: raw normals, correlation, gamma transform."""
     if n < 1 or p < 1:
         raise ValueError("n and p must be at least 1")
-    rho, a = spec.rho, spec.shape_alpha
     seeds = iter(seeds)
-    if spec.structure is Dependence.EQUICORRELATED:
-        # the latent matrix lives in the helper's frame, not across the yield
-        for seed in seeds:
-            yield _gamma_data(_equicorrelated(rho, n, p, seed.rng()), a)
-        return
-    # stationary AR(1) recursion with N(0,1) marginals:
-    # Y_j = rho Y_{j-1} + sqrt(1-rho^2) eps_j, run in place over eps, with
-    # the rows of up to _STACK datasets stacked, fewer past _STACK_BYTES
-    k = max(1, min(_STACK, _STACK_BYTES // (8 * n * p)))
+    k = max(1, min(_STACK, _STACK_BYTES // (8 * n * p))) if spec.structure is Dependence.AR1 else 1
     while stack := list(itertools.islice(seeds, k)):
-        y = np.empty((len(stack) * n, p))
-        rows = [y[i * n : (i + 1) * n] for i in range(len(stack))]
-        for seed, eps in zip(stack, rows):
-            seed.rng().standard_normal(out=eps)
-        y[:, 1:] *= math.sqrt(1.0 - rho * rho)
-        cols = list(y.T)
-        tmp = np.empty(len(y))
+        latent = _correlate(spec.rho, *_raw_normals(spec.structure, n, p, stack))
+        while latent:  # each matrix goes as its _gamma_data returns, not across the yield
+            yield _gamma_data(latent.pop(0), spec.shape_alpha)
+
+
+def _raw_normals(structure: Dependence, n: int, p: int, seeds: list[SeedSpec]) -> Iterable:
+    """(factors, z): seed i's (n, p) N(0,1) draws z[i] from its own stream, after its (n, 1)
+    common factor factors[i] if equicorrelated; for AR(1) factors is None and z one stack."""
+    if structure is Dependence.EQUICORRELATED:
+        return zip(*[(rng.standard_normal((n, 1)), rng.standard_normal((n, p))) for rng in map(SeedSpec.rng, seeds)])
+    z = np.empty((len(seeds) * n, p)).reshape(len(seeds), n, p)
+    for seed, eps in zip(seeds, z):
+        seed.rng().standard_normal(out=eps)
+    return None, z
+
+
+def _correlate(rho: float, factors, z) -> list[np.ndarray]:
+    """The latent (n, p) matrices Y: ``_raw_normals``' z, correlated by rho in place."""
+    if factors is not None:  # a single common factor: Y_j = sqrt(rho) Z0 + sqrt(1-rho) Z_j
+        for z0, y in zip(factors, z):
+            z0 *= math.sqrt(rho)
+            y *= math.sqrt(1.0 - rho)
+            y += z0
+    else:  # stationary AR(1) recursion with N(0,1) marginals: Y_j = rho Y_{j-1} + sqrt(1-rho^2) Z_j
+        z[..., 1:] *= math.sqrt(1.0 - rho * rho)
+        cols = list(z.reshape(-1, z.shape[2]).T)
+        tmp = np.empty(len(cols[0]))
         for prev, col in zip(cols, cols[1:]):
             np.multiply(prev, rho, out=tmp)
             col += tmp
-        for eps in rows:
-            yield _gamma_data(eps, a)
-
-
-def _equicorrelated(rho: float, n: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    """Latent normals with a single common factor: Y_j = sqrt(rho) Z0 + sqrt(1-rho) Z_j."""
-    z0 = rng.standard_normal((n, 1))
-    y = rng.standard_normal((n, p))
-    z0 *= math.sqrt(rho)
-    y *= math.sqrt(1.0 - rho)
-    y += z0
-    return y
+    return list(z)
 
 
 def _gamma_data(y: np.ndarray, a: float) -> DataMatrix:

@@ -24,6 +24,7 @@ import multiprocessing
 import os
 import signal
 import sys
+import traceback
 from collections.abc import Iterator
 from dataclasses import asdict, astuple, dataclass, fields
 
@@ -166,8 +167,9 @@ def _outer_block(
 
 def _serve(conn) -> None:
     """A worker's loop: for each ``(fn, blocks)`` it receives, send back each
-    block's items in order, or the exception a block raised and no more of
-    those blocks; return when the run's process has closed its end."""
+    block's items in order, or the exception a block raised with its formatted
+    traceback and no more of those blocks; return when the run's process has
+    closed its end."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
@@ -178,7 +180,7 @@ def _serve(conn) -> None:
             try:
                 conn.send(fn(block))
             except Exception as exc:
-                conn.send(exc)
+                conn.send((exc, traceback.format_exc()))
                 break
 
 
@@ -193,13 +195,18 @@ def _alive(worker):
         raise ChildProcessError(f"worker process {worker.pid} died with exit code {worker.exitcode}") from None
 
 
+class _WorkerTraceback(Exception):
+    """The traceback, formatted in the worker, of an exception a block raised there."""
+
+
 def _receive(worker, conn) -> list:
     """The next block's items from ``worker``, raising the exception the block
-    raised there."""
+    raised there, chained from its traceback in the worker."""
     with _alive(worker):
         items = conn.recv()
-    if isinstance(items, BaseException):
-        raise items
+    if isinstance(items, tuple):
+        exc, text = items
+        raise exc from _WorkerTraceback(text)
     return items
 
 

@@ -19,11 +19,9 @@ import numpy as np
 from maxboot.bootstrap import (
     BootstrapPlan,
     _centered_values,
-    _fill_rows,
     multiplier_moment,
 )
 from maxboot.datagen import DataMatrix
-from maxboot.rng import SeedSpec
 
 __all__ = [
     "Centering",
@@ -33,7 +31,6 @@ __all__ = [
     "estimate_moment_summary",
     "rate_certificate",
     "moment_tensor_diff_max",
-    "bootstrap_moment_tensor_mc",
 ]
 
 _MCAL_ORDERS = (2, 3, 4, 6)
@@ -156,8 +153,8 @@ def moment_tensor_diff_max(data: DataMatrix, plan: BootstrapPlan, order: int) ->
     For wild schemes the bootstrap tensor is E W^m times the sample tensor,
     so the gap equals |1 - E W^m| times the sample tensor's sup norm; for
     the empirical bootstrap the two tensors are the same object and the gap
-    is zero.  ``bootstrap_moment_tensor_mc`` is the Monte Carlo reference
-    for the closed form.
+    is zero.  ``tests/oracles.py`` holds the Monte Carlo reference for the
+    closed form.
     """
     _tensor_guard(order, data.p)
     if data.n < 2:
@@ -170,36 +167,3 @@ def moment_tensor_diff_max(data: DataMatrix, plan: BootstrapPlan, order: int) ->
     if plan.multiplier is not None:
         nu_hat = multiplier_moment(plan.multiplier, order) * nu_hat
     return float(np.abs(mu_hat - nu_hat).max())
-
-
-def bootstrap_moment_tensor_mc(
-    data: DataMatrix, plan: BootstrapPlan, order: int, seed: SeedSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo mean and standard error of the conditional bootstrap
-    moment tensor (1/n) sum_i (X*_i)^(x order) over the plan's ``b_reps``
-    replicates, replicate r drawn from ``seed.child(r)``."""
-    _tensor_guard(order, data.p)
-    xc = _centered_values(data, plan)
-    n = data.n
-    # per-row rank-one tensors, stacked: shape (n, p, ..., p)
-    stack_spec = {2: "ia,ib->iab", 3: "ia,ib,ic->iabc", 4: "ia,ib,ic,id->iabcd"}[order]
-    row_tensors = np.einsum(stack_spec, *([xc] * order))
-
-    b = plan.b_reps
-    total = np.zeros(row_tensors.shape[1:])
-    total_sq = np.zeros_like(total)
-    walk = seed.child_rngs(b)
-    block = np.empty((min(4096, b), n))
-    for done in range(0, b, 4096):
-        weights = block[: min(4096, b - done)]
-        _fill_rows(plan.multiplier, walk, weights)
-        if plan.multiplier is not None:
-            # a wild replicate weights row i's tensor by W_i^order
-            weights **= order
-        reps = np.einsum("ri,i...->r...", weights, row_tensors) / n
-        total += reps.sum(axis=0)
-        total_sq += (reps**2).sum(axis=0)
-    mean = total / b
-    var = np.maximum(total_sq / b - mean**2, 0.0)
-    se = np.sqrt(var / b)
-    return mean, se

@@ -23,7 +23,6 @@ __all__ = [
     "CheckReport",
     "L1_BOUNDS",
     "fbeta_derivative",
-    "fd_smooth_max_tensor",
     "check_smoothmax_sandwich",
     "check_l1_bounds",
     "check_softmax_stability",
@@ -100,52 +99,6 @@ def fbeta_derivative(z: np.ndarray, beta: float, order: int) -> np.ndarray:
             term = term * factor[block[0], block[-1]]
         core += term
     return beta ** (order - 1) * core.reshape((z.size,) * order)
-
-
-def _fd_step(order: int) -> float:
-    # balances h^2 truncation against roundoff amplified by h^(-order)
-    eps = float(np.finfo(np.longdouble).eps)
-    return 2.0 * eps ** (1.0 / (order + 2))
-
-
-def fd_smooth_max_tensor(z: np.ndarray, beta: float, order: int) -> np.ndarray:
-    """Finite-difference estimate of the order-``order`` derivative tensor.
-
-    Nested central differences evaluated in extended precision; serves as
-    the independent oracle for ``fbeta_derivative``.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    p = z.size
-    if order not in (1, 2, 3, 4):
-        raise ValueError("order must be 1, 2, 3 or 4")
-    h = np.longdouble(_fd_step(order))
-    zl = z.astype(np.longdouble)
-    beta_l = np.longdouble(beta)
-    cache: dict[tuple[int, ...], np.longdouble] = {}
-
-    def f(offsets: tuple[int, ...]) -> np.longdouble:
-        val = cache.get(offsets)
-        if val is None:
-            zz = zl + h * np.array(offsets, dtype=np.longdouble)
-            m = zz.max()
-            val = m + np.log(np.exp(beta_l * (zz - m)).sum()) / beta_l
-            cache[offsets] = val
-        return val
-
-    def diff(axes: tuple[int, ...], offsets: tuple[int, ...]) -> np.longdouble:
-        if not axes:
-            return f(offsets)
-        up = list(offsets)
-        dn = list(offsets)
-        up[axes[0]] += 1
-        dn[axes[0]] -= 1
-        return (diff(axes[1:], tuple(up)) - diff(axes[1:], tuple(dn))) / (2.0 * h)
-
-    out = np.empty((p,) * order)
-    zero = (0,) * p
-    for index in itertools.product(range(p), repeat=order):
-        out[index] = float(diff(index, zero))
-    return out
 
 
 def _random_z(rng: np.random.Generator, p: int) -> np.ndarray:

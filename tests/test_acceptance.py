@@ -37,8 +37,9 @@ from maxboot.theorycheck import (
     check_lindeberg_permutation,
     check_smoothmax_sandwich,
     fbeta_derivative,
-    fd_smooth_max_tensor,
 )
+
+from oracles import fd_smooth_max_tensor
 
 DESK_SEED = 20250808
 JOBS = 8  # criterion 10 compares parallelism 1 against parallelism 8

@@ -517,7 +517,7 @@ def test_mixed_wild_centers_at_known_mean():
 
 def test_wild_conditional_moment_match():
     # plug-in average tensor over B replicates approaches E W^m * sample tensor
-    from maxboot.moments import bootstrap_moment_tensor_mc
+    from oracles import bootstrap_moment_tensor_mc
 
     rng = np.random.default_rng(77)
     data = DataMatrix(rng.gamma(1.0, 1.0, (4, 2)))

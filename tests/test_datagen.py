@@ -14,8 +14,10 @@ from maxboot.datagen import (
     CopulaSpec,
     DataMatrix,
     Dependence,
+    _correlate,
     _exact_transform,
     _normal_to_gamma,
+    _raw_normals,
     _sample_block,
     _transform_table,
     gamma_quantile,
@@ -242,8 +244,8 @@ def one_shot_transform(y: np.ndarray, a: float) -> np.ndarray:
     return x
 
 
-def one_shot_sample(spec: CopulaSpec, n: int, p: int, seed: SeedSpec) -> np.ndarray:
-    """The sampler with a fresh array per operation and a column-copying recursion."""
+def one_shot_latent(spec: CopulaSpec, n: int, p: int, seed: SeedSpec) -> np.ndarray:
+    """The latent normals with a fresh array per operation and a column-copying recursion."""
     rng = seed.rng()
     rho = spec.rho
     if spec.structure is Dependence.EQUICORRELATED:
@@ -257,7 +259,12 @@ def one_shot_sample(spec: CopulaSpec, n: int, p: int, seed: SeedSpec) -> np.ndar
         c = math.sqrt(1.0 - rho * rho)
         for j in range(1, p):
             y[:, j] = rho * y[:, j - 1] + c * eps[:, j]
-    return one_shot_transform(y.ravel(), spec.shape_alpha).reshape(n, p)
+    return y
+
+
+def one_shot_sample(spec: CopulaSpec, n: int, p: int, seed: SeedSpec) -> np.ndarray:
+    """The sampler with a fresh array per operation and a column-copying recursion."""
+    return one_shot_transform(one_shot_latent(spec, n, p, seed).ravel(), spec.shape_alpha).reshape(n, p)
 
 
 # n * p one short of a piece, one piece, one past it, more than three pieces;
@@ -291,8 +298,20 @@ def test_transform_matches_one_shot_evaluation(a):
 
 
 # ---------------------------------------------------------------------------
-# the block sampler: stacks of AR(1) datasets
+# the block sampler: stages, and stacks of AR(1) datasets
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("structure", list(Dependence))
+@pytest.mark.parametrize("rho", (0.0, 0.9))
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+@pytest.mark.parametrize("p", (1, 100))
+def test_correlated_raw_normals_are_the_one_shot_latent_matrices(structure, rho, k, p):
+    # the boundary between the correlation and the gamma transform
+    spec, n = CopulaSpec(structure, rho, 1.0), 30
+    seeds = [seed(12, p, i) for i in range(k)]
+    latent = _correlate(rho, *_raw_normals(structure, n, p, seeds))
+    assert [y.tobytes() for y in latent] == [one_shot_latent(spec, n, p, s).tobytes() for s in seeds]
 
 
 def block_bytes(spec: CopulaSpec, n: int, p: int, seeds: list) -> list[tuple[bytes, bytes]]:

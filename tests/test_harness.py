@@ -358,8 +358,10 @@ def test_an_exception_in_a_worker_reaches_this_process(monkeypatch):
     monkeypatch.setitem(WITNESS, "parent", os.getpid())
     monkeypatch.setitem(WITNESS, "fail", raise_boom)
     monkeypatch.setattr(harness, "_outer_block", outer_block_failing_in_a_worker)
-    with deadline(20), pytest.raises(ValueError, match="^boom$"):
+    with deadline(20), pytest.raises(ValueError, match="^boom$") as raised:
         run_experiment(tiny_config(outer_reps=4, truth_reps=20), jobs=2)
+    # chained from the worker's own traceback, which names the frame that raised
+    assert "in raise_boom" in str(raised.value.__cause__)
     assert multiprocessing.active_children() == []
 
 

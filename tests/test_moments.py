@@ -10,13 +10,13 @@ from maxboot.moments import (
     Centering,
     MomentSummary,
     RateBranch,
-    bootstrap_moment_tensor_mc,
     estimate_moment_summary,
     moment_tensor_diff_max,
     rate_certificate,
 )
 
 from conftest import oracle_row, seed
+from oracles import bootstrap_moment_tensor_mc
 
 
 def sample_tensor_max(values: np.ndarray, order: int) -> float:

@@ -15,10 +15,10 @@ from maxboot.theorycheck import (
     check_smoothmax_sandwich,
     check_softmax_stability,
     fbeta_derivative,
-    fd_smooth_max_tensor,
 )
 
 from conftest import seed
+from oracles import fd_smooth_max_tensor
 
 
 # ---------------------------------------------------------------------------
