@@ -17,7 +17,7 @@ import numpy as np
 
 from maxboot import _kernels
 from maxboot.datagen import DataMatrix
-from maxboot.rng import SeedSpec, StreamWalk
+from maxboot.rng import _MAX_CHILDREN, SeedSpec, StreamWalk
 from maxboot.stat_core import EmpiricalDistribution, MaxMode
 
 __all__ = [
@@ -124,6 +124,9 @@ class BootstrapPlan:
     def __post_init__(self) -> None:
         if self.b_reps < 1:
             raise ValueError("b_reps must be at least 1")
+        if self.b_reps > _MAX_CHILDREN:
+            # each replicate is one child stream of the law's seed
+            raise ValueError(f"b_reps must be at most 2**32, got {self.b_reps}")
 
     @property
     def center_by_sample_mean(self) -> bool:

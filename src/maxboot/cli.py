@@ -66,15 +66,19 @@ _PRESETS = {
     "paper": {"outer": 500, "truth": 5000, "breps": 500, "n": 200, "p": 400},
 }
 
-def _parse_config_file(path: str) -> tuple[dict, dict]:
+_DEFAULTS = {key: default for key, (_, default, _, _) in _RUN_KEYS.items()}
+
+
+def _parse_config_file(path: str) -> dict:
     """Flat key = value file; # starts a comment; keys match the CLI flags.
 
-    Returns the values and, for each key, the 'FILE:LINE' that set it.
+    Each value is checked as its line is read: its type and choices, and then
+    every run rule among the defaults. The first bad line fails, at its
+    'FILE:LINE', so a later line with the same key cannot rescue it.
     """
     values: dict = {}
-    where: dict = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
@@ -82,29 +86,27 @@ def _parse_config_file(path: str) -> tuple[dict, dict]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        where[key] = f"{path}:{lineno}"
-        if key == "preset":
-            kind, choices = str, tuple(_PRESETS)
-        elif key in _RUN_KEYS:
-            kind, _, choices, _ = _RUN_KEYS[key]
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        key, sep, value = (part.strip() for part in line.partition("="))
         try:
-            values[key] = kind(value)
-        except ValueError:
-            expects = "an integer" if kind is int else "a number"
-            raise ValueError(
-                f"{path}:{lineno}: key {key!r} expects {expects}, got {value!r}"
-            ) from None
-        if choices and values[key] not in choices:
-            raise ValueError(
-                f"{path}:{lineno}: key {key!r} expects one of {', '.join(choices)}, got {value!r}"
-            )
-    return values, where
+            if not sep:
+                raise ValueError(f"expected 'key = value', got {raw.rstrip()!r}")
+            if key == "preset":
+                kind, choices = str, tuple(_PRESETS)
+            elif key in _RUN_KEYS:
+                kind, _, choices, _ = _RUN_KEYS[key]
+            else:
+                raise ValueError(f"unknown config key {key!r}")
+            try:
+                values[key] = kind(value)
+            except ValueError:
+                expects = "an integer" if kind is int else "a number"
+                raise ValueError(f"key {key!r} expects {expects}, got {value!r}") from None
+            if choices and values[key] not in choices:
+                raise ValueError(f"key {key!r} expects one of {', '.join(choices)}, got {value!r}")
+            _resolve({**_DEFAULTS, key: values[key]})
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return values
 
 
 def _resolve(values: dict) -> ExperimentConfig:
@@ -127,25 +129,15 @@ def _resolve(values: dict) -> ExperimentConfig:
 
 def build_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
     """Resolve defaults < preset < config file < explicit CLI flags."""
-    defaults = {key: default for key, (_, default, _, _) in _RUN_KEYS.items()}
-    file_values, where = _parse_config_file(args.config) if args.config else ({}, {})
+    file_values = _parse_config_file(args.config) if args.config else {}
     preset = args.preset or file_values.pop("preset", None)
-    values = dict(defaults)
-    if preset is not None:
-        values.update(_PRESETS[preset])
-    values.update(file_values)
+    values = {**_DEFAULTS, **_PRESETS.get(preset, {}), **file_values}
     for key in _RUN_KEYS:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             values[key] = cli_value
     if values["out"] == "-":
         values["out"] = None  # stdout, so Ctrl-C flushes nothing, as without --out
-    # a file value that fails among the defaults is reported at its line
-    for key, value in file_values.items():
-        try:
-            _resolve({**defaults, key: value})
-        except ValueError as exc:
-            raise ValueError(f"{where[key]}: {exc}") from None
     return _resolve(values), values
 
 
@@ -216,7 +208,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         with warnings.catch_warnings():
             # numpy warns on a file with no rows; the size test below says so
             warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(args.input, delimiter=",", ndmin=2)
+            values = np.loadtxt(args.input, delimiter=",", ndmin=2, encoding="utf-8-sig")
     except (OSError, ValueError) as exc:
         # a ragged file's message advises `usecols`, which certify does not take
         reason = str(exc).partition("; use `usecols`")[0]

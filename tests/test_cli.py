@@ -229,6 +229,9 @@ def no_run(monkeypatch):
         ("jobs", "0", "jobs must be at least 1"),
         ("seed", "-1", "seed components must be nonnegative integers"),
         ("out", "", "--out is an empty path"),
+        ("truth", "0", "outer_reps and truth_reps must be at least 1"),
+        ("p", "0", "need n >= 2 and p >= 1"),
+        ("breps", "5000000000", "b_reps must be at most 2**32, got 5000000000"),
     ],
 )
 def test_config_file_range_error_names_file_and_line(tmp_path, capsys, no_run, key, value, message):
@@ -239,6 +242,29 @@ def test_config_file_range_error_names_file_and_line(tmp_path, capsys, no_run, k
     # the same value given as a flag keeps its message
     assert main(["run", f"--{key}", value]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_file_bad_line_is_not_rescued_by_a_later_duplicate(tmp_path, capsys, no_run):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rho = 2\nrho = 0.3\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:1: rho must lie in [0, 1), got 2.0\n"
+
+
+def test_config_file_reports_its_first_bad_line(tmp_path, capsys, no_run):
+    # a range error on line 1 is reported, not the type error after it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("outer = 0\nn = abc\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:1: outer_reps and truth_reps must be at least 1\n"
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("preset = desk\ntruth = 44\n", encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+    config, _ = build_config(parse_args("--config", str(cfg)))
+    assert (config.outer_reps, config.truth_reps) == (100, 44)
 
 
 @pytest.mark.parametrize("flag, other", [("--out", "--figure-data"), ("--figure-data", "--out")])
@@ -716,6 +742,18 @@ def test_certify_data_errors_name_the_file(tmp_path, capsys, text, reason):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: cannot certify input matrix {str(path)!r}: {reason}\n"
+
+
+def test_certify_input_with_a_byte_order_mark(tmp_path, capsys):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    text = "1,2\n3,5\n4,7\n"
+    plain.write_text(text)
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["certify", "--input", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["certify", "--input", str(bom)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_certify_non_finite_known_mean_names_flag_and_value(tmp_path, capsys):
