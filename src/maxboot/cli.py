@@ -36,7 +36,7 @@ from maxboot.harness import (
     emit_results,
     run_experiment,
 )
-from maxboot.moments import Centering, estimate_moment_summary, rate_certificate
+from maxboot.moments import Centering, _DegenerateSummary, _zero_spread, estimate_moment_summary, rate_certificate
 from maxboot.rng import SeedSpec
 from maxboot.stat_core import MaxMode
 
@@ -73,8 +73,9 @@ def _parse_config_file(path: str) -> dict:
     """Flat key = value file; # starts a comment; keys match the CLI flags.
 
     Each value is checked as its line is read: its type and choices, and then
-    every run rule among the defaults. The first bad line fails, at its
-    'FILE:LINE', so a later line with the same key cannot rescue it.
+    every run rule among the defaults and the file's values read so far. The
+    first bad line fails, at its 'FILE:LINE', so a later line (or flag) cannot
+    rescue it.
     """
     values: dict = {}
     try:
@@ -103,7 +104,7 @@ def _parse_config_file(path: str) -> dict:
                 raise ValueError(f"key {key!r} expects {expects}, got {value!r}") from None
             if choices and values[key] not in choices:
                 raise ValueError(f"key {key!r} expects one of {', '.join(choices)}, got {value!r}")
-            _resolve({**_DEFAULTS, key: values[key]})
+            _resolve({**_DEFAULTS, **values})
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
@@ -236,16 +237,17 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             scheme: dataclasses.asdict(rate_certificate(summary, data.n, data.p, scheme))
             for scheme in ("empirical", "wild")
         }
+        payload = {"n": data.n, "p": data.p, "centering": center.value}
+        payload.update(summary=dataclasses.asdict(summary), certificates=certificates)
+        # a value that overflows fails here rather than printing Infinity
+        text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:
         reason = str(exc)
-        if "sigma_lower" in reason:
-            # sigma_lower is the root mean square of the least-spread column
-            spread = (data.centered(center is Centering.KNOWN_MEAN) ** 2).mean(axis=0)
-            reason = f"column {spread.argmin() + 1} is constant ({reason})"
+        constant = np.flatnonzero(_zero_spread(data, center)) if isinstance(exc, _DegenerateSummary) else ()
+        if len(constant):
+            reason = f"column {constant[0] + 1} is constant ({reason})"
         raise ValueError(f"cannot certify input matrix {args.input!r}: {reason}") from None
-    payload = {"n": data.n, "p": data.p, "centering": center.value}
-    payload.update(summary=dataclasses.asdict(summary), certificates=certificates)
-    print(json.dumps(payload, indent=2))
+    print(text)
     return 0
 
 

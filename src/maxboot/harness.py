@@ -149,19 +149,17 @@ def _truth_block(config: ExperimentConfig, reps: range) -> list[float]:
     return [tn for _, tn in _datasets(config, _TRUTH, reps)]
 
 
-def _outer_block(
-    config: ExperimentConfig, truth: EmpiricalDistribution, reps: range
-) -> list[tuple[list[float], list[bool]]]:
-    out = []
-    for r, (data, tn) in zip(reps, _datasets(config, _DATA, reps)):
-        ks_vals, covered = [], []
+def _outer_block(config: ExperimentConfig, truth: EmpiricalDistribution, reps: range) -> np.ndarray:
+    """Replicates ``reps`` as one (len(reps), 2, len(config.schemes)) array:
+    [i, 0, s] is replicate reps[i]'s KS distance to the truth law under scheme
+    s, and [i, 1, s] its coverage bit, 0.0 or 1.0."""
+    out = np.empty((len(reps), 2, len(config.schemes)))
+    for i, (r, (data, tn)) in enumerate(zip(reps, _datasets(config, _DATA, reps))):
         for s, plan in enumerate(config.schemes):
             law = bootstrap_distribution(
                 data, plan, config.mode, SeedSpec(config.master_seed).child(_BOOT, r, s)
             )
-            ks_vals.append(two_sample_ks(truth, law))
-            covered.append(tn <= upper_quantile(law, config.alpha_level))
-        out.append((ks_vals, covered))
+            out[i, :, s] = two_sample_ks(truth, law), tn <= upper_quantile(law, config.alpha_level)
     return out
 
 
@@ -269,8 +267,9 @@ def run_truth(config: ExperimentConfig, jobs: int = 1) -> EmpiricalDistribution:
 
 def _aggregate(config: ExperimentConfig, per_rep: list) -> ExperimentResult:
     names = [plan.name for plan in config.schemes]
-    per_rep_ks = {name: np.array([rep[0][s] for rep in per_rep]) for s, name in enumerate(names)}
-    per_rep_cover = {name: np.array([float(rep[1][s]) for rep in per_rep]) for s, name in enumerate(names)}
+    # the rows of the outer blocks, as one contiguous (2, schemes, reps) array
+    ks, cover = np.array(per_rep).transpose(1, 2, 0).copy()
+    per_rep_ks, per_rep_cover = dict(zip(names, ks)), dict(zip(names, cover))
 
     rows = []
     for name in names:

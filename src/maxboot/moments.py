@@ -73,20 +73,42 @@ class RateCertificate:
     b_n: float
 
 
+class _DegenerateSummary(ValueError):
+    """A summary whose sigma_lower is 0, as it is when a column has zero
+    spread (``_zero_spread``)."""
+
+
+def _zero_spread(data: DataMatrix, center: Centering) -> np.ndarray:
+    """Which columns have zero spread: all their entries are equal (sample
+    centring), or all equal their known mean (known centring)."""
+    reference = data.known_mean if center is Centering.KNOWN_MEAN else data.values[0]
+    return (data.values == reference).all(axis=0)
+
+
 def estimate_moment_summary(data: DataMatrix, center: Centering) -> MomentSummary:
     if data.n < 2:
         raise ValueError("need at least two rows")
     xc = np.abs(data.centered(center is Centering.KNOWN_MEAN))
-    # max over columns of the row-averaged |.|^m, to the 1/m.  This is also the
-    # plug-in of (1/n) sum_i max_j E|.|^m and of E max_j (1/n) sum_i |.|^m:
-    # with E replaced by the average over rows both reduce to it
-    col_avg_max = {m: float((xc**m).mean(axis=0).max() ** (1.0 / m)) for m in _MCAL_ORDERS}
+    # a column's sample mean need not round to its constant value
+    xc[:, _zero_spread(data, center)] = 0.0
+    # powers of each column scaled by its largest entry neither overflow nor
+    # underflow; the scale is multiplied back after the root
+    scale = xc.max(axis=0)
+    scale[scale == 0.0] = 1.0
+    xs = xc / scale
+    # per column, the row-averaged |.|^m to the 1/m; its max over columns is
+    # also the plug-in of (1/n) sum_i max_j E|.|^m and of
+    # E max_j (1/n) sum_i |.|^m: with E replaced by the average over rows both
+    # reduce to it
+    col_avg = {m: (xs**m).mean(axis=0) ** (1.0 / m) * scale for m in _MCAL_ORDERS}
+    col_avg_max = {m: float(col_avg[m].max()) for m in _MCAL_ORDERS}
+    top = scale.max()
     return MomentSummary(
         M2=col_avg_max[2],
         M4=col_avg_max[4],
         M6=col_avg_max[6],
-        sigma_lower=float(math.sqrt((xc**2).mean(axis=0).min())),
-        Mcal4=float(((xc**4).max(axis=1).mean()) ** 0.25),
+        sigma_lower=float(col_avg[2].min()),
+        Mcal4=float(((xc / top) ** 4).max(axis=1).mean() ** 0.25 * top),
         Mcal_m1=dict(col_avg_max),
         Mcal_m2=dict(col_avg_max),
     )
@@ -107,7 +129,7 @@ def rate_certificate(summary: MomentSummary, n: int, p: int, scheme: str) -> Rat
         raise ValueError("need n >= 2 and p >= 2")
     sig = summary.sigma_lower
     if sig <= 0.0:
-        raise ValueError("degenerate summary: sigma_lower must be positive")
+        raise _DegenerateSummary("degenerate summary: sigma_lower must be positive")
 
     m4 = summary.M4
     factor = 2.0 if scheme == "empirical" else 1.0
@@ -120,8 +142,12 @@ def rate_certificate(summary: MomentSummary, n: int, p: int, scheme: str) -> Rat
     moment = (log_np**5 / n) ** (1.0 / 6.0) * (mcal / sig) ** (2.0 / 3.0)
 
     t_n = (M / sig) / (m4 / sig) ** (2.0 / 3.0)
-    b_n = (math.sqrt(n) / (m4**2 * sig * log_p)) ** (1.0 / 3.0) / t_n
-    kappa_n4 = b_n**4 * log_p**3 * m4**4 / n
+    # m4 and sig to their powers apart, so that no product of them overflows;
+    # (b_n m4)^4 as products, which overflow to inf (refused by certify's
+    # JSON) where ** would raise
+    b_n = (math.sqrt(n) / log_p) ** (1.0 / 3.0) / (m4 ** (2.0 / 3.0) * sig ** (1.0 / 3.0)) / t_n
+    bm_squared = (b_n * m4) * (b_n * m4)
+    kappa_n4 = bm_squared * bm_squared * log_p**3 / n
 
     if tail <= moment:
         gamma_star, branch = tail, RateBranch.TAIL

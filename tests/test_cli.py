@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import signal
@@ -257,6 +258,19 @@ def test_config_file_reports_its_first_bad_line(tmp_path, capsys, no_run):
     cfg.write_text("outer = 0\nn = abc\n")
     assert main(["run", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {cfg}:1: outer_reps and truth_reps must be at least 1\n"
+
+
+def test_config_file_out_and_figure_data_naming_one_file_fail_at_the_second(tmp_path, capsys, no_run, monkeypatch):
+    # each line passes alone among the defaults; together they name one file
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("out = same.csv\nfigure_data = same.csv\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    message = "--out 'same.csv' and --figure-data 'same.csv' name the same file"
+    assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+    # a flag does not rescue the file, as a later line does not rescue a bad one
+    assert main(["run", "--config", str(cfg), "--figure-data", "other.csv"]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
 
 
 def test_config_file_with_a_byte_order_mark(tmp_path):
@@ -732,8 +746,10 @@ def test_certify_malformed_input_names_the_file(tmp_path, capsys, text, reason):
         ("1,2\n", "need at least two rows"),
         ("1\n2\n4\n", "need n >= 2 and p >= 2"),
         ("1,5,2\n3,5,4\n4,5,7\n", "column 2 is constant (degenerate summary: sigma_lower must be positive)"),
+        # the mean of three 0.1s is not 0.1, so centring alone leaves a spread
+        ("0.1,1\n0.1,2\n0.1,4\n", "column 1 is constant (degenerate summary: sigma_lower must be positive)"),
     ],
-    ids=["non-finite", "one-row", "one-column", "constant-column"],
+    ids=["non-finite", "one-row", "one-column", "constant-column", "constant-column-unrounded-mean"],
 )
 def test_certify_data_errors_name_the_file(tmp_path, capsys, text, reason):
     path = tmp_path / "matrix.csv"
@@ -742,6 +758,54 @@ def test_certify_data_errors_name_the_file(tmp_path, capsys, text, reason):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: cannot certify input matrix {str(path)!r}: {reason}\n"
+
+
+def strict_json(text):
+    """``text`` parsed as JSON, refusing the Infinity and NaN that json.dumps writes by default."""
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("scale", [1e60, 1e200, 1e-200])
+def test_certify_does_not_depend_on_the_scale_of_the_data(tmp_path, capsys, scale):
+    # filterwarnings = error: a power that overflows would escape main as a
+    # traceback; a column of 1e-200s has squares that underflow to 0
+    path, scaled = tmp_path / "matrix.csv", tmp_path / "scaled.csv"
+    values = np.array([[1.0, 2.0], [3.0, 5.0], [4.0, 7.0]])
+    np.savetxt(path, values, delimiter=",")
+    np.savetxt(scaled, values * scale, delimiter=",")
+    assert main(["certify", "--input", str(path)]) == 0
+    plain = strict_json(capsys.readouterr().out)
+    assert main(["certify", "--input", str(scaled)]) == 0
+    payload = strict_json(capsys.readouterr().out)
+    sigma_lower = scale * plain["summary"]["sigma_lower"]
+    assert payload["summary"]["sigma_lower"] == pytest.approx(sigma_lower, rel=1e-12, abs=0.0)
+    for scheme, certificate in payload["certificates"].items():
+        assert certificate["gamma_star"] == pytest.approx(plain["certificates"][scheme]["gamma_star"], rel=1e-12)
+        assert certificate["kappa_n4"] == pytest.approx(plain["certificates"][scheme]["kappa_n4"], rel=1e-12)
+
+
+def test_certify_a_column_of_tiny_entries_is_not_constant(tmp_path, capsys):
+    path = tmp_path / "matrix.csv"
+    path.write_text("1e-200,1\n2e-200,2\n3e-200,4\n")
+    assert main(["certify", "--input", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert strict_json(out)["summary"]["sigma_lower"] == pytest.approx(math.sqrt(2 / 3) * 1e-200, rel=1e-12, abs=0.0)
+
+
+def test_certify_a_certificate_that_overflows_exits_1(tmp_path, capsys):
+    # a column 1e300 times smaller than the other: kappa_n4 overflows
+    path = tmp_path / "matrix.csv"
+    path.write_text("1e-300,1\n2e-300,2\n3e-300,4\n")
+    assert main(["certify", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    prefix = f"error: cannot certify input matrix {str(path)!r}: Out of range float values are not JSON compliant"
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_certify_input_with_a_byte_order_mark(tmp_path, capsys):

@@ -67,6 +67,24 @@ def test_summary_power_mean_ordering(rng):
         assert s.M4 <= s.Mcal4 + 1e-15
 
 
+@pytest.mark.parametrize("center", list(Centering))
+def test_summary_constant_column_has_zero_spread_exactly(center):
+    # three 0.1s average to 0.1 + 1.4e-17, so centring alone leaves a spread
+    data = DataMatrix(np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 4.0]]), known_mean=np.array([0.1, 2.0]))
+    assert estimate_moment_summary(data, center).sigma_lower == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e60, 1e200])
+def test_summary_scales_with_the_data(rng, scale):
+    # filterwarnings = error: a power that overflows or underflows fails here
+    values = rng.gamma(2.0, 1.0, (20, 4))
+    for center in Centering:
+        plain = estimate_moment_summary(DataMatrix(values, known_mean=np.full(4, 2.0)), center)
+        scaled = estimate_moment_summary(DataMatrix(values * scale, known_mean=np.full(4, 2.0 * scale)), center)
+        for name in ("M2", "M4", "M6", "sigma_lower", "Mcal4"):
+            assert getattr(scaled, name) == pytest.approx(scale * getattr(plain, name), rel=1e-12, abs=0.0)
+
+
 def test_summary_known_mean_requires_vector():
     data = DataMatrix(np.ones((3, 2)))
     with pytest.raises(ValueError):
