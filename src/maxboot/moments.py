@@ -88,27 +88,34 @@ def _zero_spread(data: DataMatrix, center: Centering) -> np.ndarray:
 def estimate_moment_summary(data: DataMatrix, center: Centering) -> MomentSummary:
     if data.n < 2:
         raise ValueError("need at least two rows")
-    xc = np.abs(data.centered(center is Centering.KNOWN_MEAN))
+    # each column, and the known mean it is centred at, times the power of two
+    # 2^-e that takes their largest |value| below 1: exact, so neither the mean
+    # nor a power overflows; the exponent e is added back after each root
+    known = center is Centering.KNOWN_MEAN
+    mean = data.known_mean if known else None
+    largest = np.abs(data.values).max(axis=0)
+    if mean is not None:
+        largest = np.maximum(largest, np.abs(mean))
+    e = np.frexp(largest)[1]
+    scaled = DataMatrix(np.ldexp(data.values, -e), None if mean is None else np.ldexp(mean, -e))
+    xc = np.abs(scaled.centered(known))
     # a column's sample mean need not round to its constant value
     xc[:, _zero_spread(data, center)] = 0.0
-    # powers of each column scaled by its largest entry neither overflow nor
-    # underflow; the scale is multiplied back after the root
-    scale = xc.max(axis=0)
-    scale[scale == 0.0] = 1.0
-    xs = xc / scale
     # per column, the row-averaged |.|^m to the 1/m; its max over columns is
     # also the plug-in of (1/n) sum_i max_j E|.|^m and of
     # E max_j (1/n) sum_i |.|^m: with E replaced by the average over rows both
-    # reduce to it
-    col_avg = {m: (xs**m).mean(axis=0) ** (1.0 / m) * scale for m in _MCAL_ORDERS}
+    # reduce to it.  A moment beyond the float range is inf, without a warning
+    top = e.max()
+    with np.errstate(over="ignore"):
+        col_avg = {m: np.ldexp((xc**m).mean(axis=0) ** (1.0 / m), e) for m in _MCAL_ORDERS}
+        mcal4 = float(np.ldexp((np.ldexp(xc, e - top) ** 4).max(axis=1).mean() ** 0.25, top))
     col_avg_max = {m: float(col_avg[m].max()) for m in _MCAL_ORDERS}
-    top = scale.max()
     return MomentSummary(
         M2=col_avg_max[2],
         M4=col_avg_max[4],
         M6=col_avg_max[6],
         sigma_lower=float(col_avg[2].min()),
-        Mcal4=float(((xc / top) ** 4).max(axis=1).mean() ** 0.25 * top),
+        Mcal4=mcal4,
         Mcal_m1=dict(col_avg_max),
         Mcal_m2=dict(col_avg_max),
     )
@@ -141,11 +148,9 @@ def rate_certificate(summary: MomentSummary, n: int, p: int, scheme: str) -> Rat
     tail = (log_p**2 * log_np**3 / n) ** (1.0 / 6.0) * M / sig
     moment = (log_np**5 / n) ** (1.0 / 6.0) * (mcal / sig) ** (2.0 / 3.0)
 
-    t_n = (M / sig) / (m4 / sig) ** (2.0 / 3.0)
-    # m4 and sig to their powers apart, so that no product of them overflows;
+    b_n = (math.sqrt(n) / log_p) ** (1.0 / 3.0) / M
     # (b_n m4)^4 as products, which overflow to inf (refused by certify's
     # JSON) where ** would raise
-    b_n = (math.sqrt(n) / log_p) ** (1.0 / 3.0) / (m4 ** (2.0 / 3.0) * sig ** (1.0 / 3.0)) / t_n
     bm_squared = (b_n * m4) * (b_n * m4)
     kappa_n4 = bm_squared * bm_squared * log_p**3 / n
 

@@ -276,7 +276,7 @@ class SeedSpec:
         ``self.child(r).rng()`` starts in.  The states are derived in uint64
         array arithmetic over all r, with the words that all r share mixed
         once, and each is written straight into the generator: on a 2-vCPU
-        AMD EPYC a 500-stream walk takes 0.15 ms, against 4.3 ms for building
+        Intel Xeon a 500-stream walk takes 0.26 ms, against 7.3 ms for building
         the 500 generators with ``child(r).rng()``.
         """
         if not 0 <= count <= _MAX_CHILDREN:

@@ -81,15 +81,12 @@ def fbeta_derivative(z: np.ndarray, beta: float, order: int) -> np.ndarray:
     same operations and the tensor is bitwise symmetric; sorted, a block's
     indices agree exactly when its first and last do.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("z must be a nonempty 1-d array")
-    if z.size > _MAX_TENSOR_P:
+    pi = softmax_weights(z, beta)
+    if pi.size > _MAX_TENSOR_P:
         raise ValueError(f"dense tensors are limited to p <= {_MAX_TENSOR_P}")
     if order not in (1, 2, 3, 4):
         raise ValueError("order must be 1, 2, 3 or 4")
-    pi = softmax_weights(z, beta)
-    index = np.sort(np.indices((z.size,) * order).reshape(order, -1), axis=0)
+    index = np.sort(np.indices((pi.size,) * order).reshape(order, -1), axis=0)
     # a block's factor, keyed by its first and last position
     factor = {(i, j): np.where(index[i] == index[j], pi[index[i]], 0.0) for i in range(order) for j in range(i, order)}
     core = np.zeros(index.shape[1])
@@ -98,7 +95,7 @@ def fbeta_derivative(z: np.ndarray, beta: float, order: int) -> np.ndarray:
         for block in blocks:
             term = term * factor[block[0], block[-1]]
         core += term
-    return beta ** (order - 1) * core.reshape((z.size,) * order)
+    return beta ** (order - 1) * core.reshape((pi.size,) * order)
 
 
 def _random_z(rng: np.random.Generator, p: int) -> np.ndarray:

@@ -8,15 +8,39 @@ from maxboot.bootstrap import (
     BootstrapPlan,
     mixed_coefficients,
 )
+from maxboot import harness
 from maxboot import rng as rng_module
 from maxboot.rng import SeedSpec
 
 
+@pytest.fixture(params=["selected", "state-dict"])
+def seating(request, monkeypatch):
+    """Seat every stream as the layout check selects (the memory write wherever
+    numpy has a native 128-bit PCG64), or through the ``state`` dict, as on a
+    numpy whose PCG64 layout the check declines."""
+    if request.param == "state-dict":
+        monkeypatch.setattr(rng_module, "_state_write_ok", lambda: False)
+    return request.param
+
+
 @pytest.fixture
-def dict_fallback(monkeypatch):
-    """Seat every stream through the ``state`` dict, as on a numpy whose
-    PCG64 layout the check declines."""
-    monkeypatch.setattr(rng_module, "_state_write_ok", lambda: False)
+def interrupt_block(monkeypatch):
+    """``interrupt_block(name)`` patches ``harness.<name>`` so that its second
+    call in this process raises KeyboardInterrupt, and returns the calls."""
+
+    def patch(name):
+        block, calls = getattr(harness, name), []
+
+        def interrupted(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return block(*args)
+
+        monkeypatch.setattr(harness, name, interrupted)
+        return calls
+
+    return patch
 
 
 @pytest.fixture

@@ -237,7 +237,9 @@ REDRAW_WALKS = {
 }
 
 
-def check_redrawn_rows(spec, redrawn):
+@pytest.mark.parametrize("case", REDRAW_WALKS)
+def test_redrawn_rows_equal_numpy_per_row_draws(seating, case):
+    spec, redrawn = REDRAW_WALKS[case]
     n, b = 20001, 128
     assert redrawing_streams(n, spec, b) == redrawn
     walk, rows = spec.child_rngs(b + 1), np.empty((b, n))
@@ -249,16 +251,6 @@ def check_redrawn_rows(spec, redrawn):
     # the redraws leave the walk where it was
     (after,) = walk.take(1)
     assert after.bit_generator.state == spec.child(b).rng().bit_generator.state
-
-
-@pytest.mark.parametrize("case", REDRAW_WALKS)
-def test_redrawn_rows_equal_numpy_per_row_draws(case):
-    check_redrawn_rows(*REDRAW_WALKS[case])
-
-
-@pytest.mark.parametrize("case", REDRAW_WALKS)
-def test_dict_fallback_redrawn_rows_equal_numpy_per_row_draws(dict_fallback, case):
-    check_redrawn_rows(*REDRAW_WALKS[case])
 
 
 # ---------------------------------------------------------------------------

@@ -482,34 +482,24 @@ def test_run_json_output(tmp_path):
     assert {r["metric"] for r in parsed} == {"KS", "Coverage"}
 
 
-def test_interrupt_writes_chosen_format_and_figure_data(tmp_path, monkeypatch):
-    # 16 outer replicates at one job run as eight blocks of two; the second
-    # block is interrupted, so the flush holds exactly replicates 0 and 1
-    block = harness._outer_block
-    calls = []
-
-    def interrupted_block(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise KeyboardInterrupt
-        return block(*args)
-
+def test_interrupt_writes_chosen_format_and_figure_data(tmp_path, interrupt_block):
     argv = ["run", "--n", "16", "--p", "4", "--truth", "20", "--breps", "8", "--schemes", "m,e"]
-    flushed, flushed_fig = tmp_path / "partial.json", tmp_path / "partial_fig.csv"
-    monkeypatch.setattr(harness, "_outer_block", interrupted_block)
-    with pytest.raises(KeyboardInterrupt):
-        main([*argv, "--outer", "16", "--format", "json",
-              "--out", str(flushed), "--figure-data", str(flushed_fig)])
-
-    monkeypatch.setattr(harness, "_outer_block", block)
     clean, clean_fig = tmp_path / "clean.json", tmp_path / "clean_fig.csv"
     assert main([*argv, "--outer", "2", "--format", "json",
                  "--out", str(clean), "--figure-data", str(clean_fig)]) == 0
+
+    # 16 outer replicates at one job run as eight blocks of two; the second
+    # block is interrupted, so the flush holds exactly replicates 0 and 1
+    interrupt_block("_outer_block")
+    flushed, flushed_fig = tmp_path / "partial.json", tmp_path / "partial_fig.csv"
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--outer", "16", "--format", "json",
+              "--out", str(flushed), "--figure-data", str(flushed_fig)])
     assert flushed.read_bytes() == clean.read_bytes()
     assert flushed_fig.read_bytes() == clean_fig.read_bytes()
 
 
-def test_out_dash_is_stdout_as_without_out(monkeypatch, capsys):
+def test_out_dash_is_stdout_as_without_out(interrupt_block, capsys):
     argv = ["run", "--n", "16", "--p", "4", "--truth", "20", "--breps", "8", "--schemes", "m,e", "--outer", "16"]
     assert main(argv) == 0
     plain = capsys.readouterr().out
@@ -517,16 +507,7 @@ def test_out_dash_is_stdout_as_without_out(monkeypatch, capsys):
     assert capsys.readouterr().out == plain
 
     # Ctrl-C in the second outer block: as without --out, stdout gets nothing
-    block = harness._outer_block
-    calls = []
-
-    def interrupted_block(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise KeyboardInterrupt
-        return block(*args)
-
-    monkeypatch.setattr(harness, "_outer_block", interrupted_block)
+    calls = interrupt_block("_outer_block")
     with pytest.raises(KeyboardInterrupt):
         main([*argv, "--out", "-"])
     assert len(calls) == 2
@@ -557,18 +538,9 @@ def test_progress_lines_count_each_block(jobs, truth_step, outer_step):
     assert proc.stderr.splitlines() == [f"INFO maxboot.harness: {line}" for line in lines]
 
 
-def test_interrupt_in_the_truth_phase_writes_nothing(tmp_path, monkeypatch):
+def test_interrupt_in_the_truth_phase_writes_nothing(tmp_path, interrupt_block):
     # the truth law at one job runs as eight blocks; the second is interrupted
-    block = harness._truth_block
-    calls = []
-
-    def interrupted_block(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise KeyboardInterrupt
-        return block(*args)
-
-    monkeypatch.setattr(harness, "_truth_block", interrupted_block)
+    calls = interrupt_block("_truth_block")
     out = tmp_path / "rows.csv"
     with pytest.raises(KeyboardInterrupt):
         main(["run", "--n", "16", "--p", "4", "--truth", "40", "--outer", "4",
@@ -579,7 +551,7 @@ def test_interrupt_in_the_truth_phase_writes_nothing(tmp_path, monkeypatch):
 
 def test_second_interrupt_at_two_jobs_exits_with_the_flush(tmp_path):
     # Ctrl-C reaches the whole process group; a second SIGINT to the main
-    # process must neither hang the run on its pool nor lose the flush
+    # process must neither hang the run on its workers nor lose the flush
     out = tmp_path / "rows.csv"
     argv = ["-v", "run", "--p", "100", "--truth", "200", "--outer", "320",
             "--breps", "200", "--jobs", "2", "--out", str(out)]
@@ -797,15 +769,23 @@ def test_certify_a_column_of_tiny_entries_is_not_constant(tmp_path, capsys):
     assert strict_json(out)["summary"]["sigma_lower"] == pytest.approx(math.sqrt(2 / 3) * 1e-200, rel=1e-12, abs=0.0)
 
 
-def test_certify_a_certificate_that_overflows_exits_1(tmp_path, capsys):
-    # a column 1e300 times smaller than the other: kappa_n4 overflows
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1e-300,1\n2e-300,2\n3e-300,4\n",  # columns 1e300 apart in scale: kappa_n4
+        "1e308,-1e308\n1.5e308,1e308\n-1e308,1.7e308\n",  # M = 2 sigma^(1/3) M4^(2/3)
+        "1.7e308,1\n-1.7e308,2\n-1.7e308,4\n",  # M6 of the first column itself
+    ],
+    ids=["kappa_n4", "M", "M6"],
+)
+def test_certify_a_certificate_that_overflows_exits_1(tmp_path, capsys, text):
     path = tmp_path / "matrix.csv"
-    path.write_text("1e-300,1\n2e-300,2\n3e-300,4\n")
+    path.write_text(text)
     assert main(["certify", "--input", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    prefix = f"error: cannot certify input matrix {str(path)!r}: Out of range float values are not JSON compliant"
-    assert err.startswith(prefix) and err.count("\n") == 1
+    reason = "Out of range float values are not JSON compliant: inf"
+    assert err == f"error: cannot certify input matrix {str(path)!r}: {reason}\n"
 
 
 def test_certify_input_with_a_byte_order_mark(tmp_path, capsys):

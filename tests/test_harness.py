@@ -174,19 +174,13 @@ def test_mode_absolute_runs():
     assert all(row.mean >= 0.0 for row in result.rows)
 
 
-def test_interrupt_flushes_completed_replicates(tmp_path, monkeypatch, caplog):
+def test_interrupt_flushes_completed_replicates(tmp_path, interrupt_block, caplog):
+    clean = tmp_path / "clean.csv"
+    emit_results(run_experiment(tiny_config(outer_reps=2)).rows, "csv", str(clean))
+
     # 16 outer replicates at one job run as eight blocks of two; the second
     # block is interrupted, so the flush holds exactly replicates 0 and 1
-    block = harness._outer_block
-    calls = []
-
-    def interrupted_block(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise KeyboardInterrupt
-        return block(*args)
-
-    monkeypatch.setattr(harness, "_outer_block", interrupted_block)
+    interrupt_block("_outer_block")
     flushed = tmp_path / "partial.csv"
     with caplog.at_level("WARNING", logger="maxboot.harness"):
         with pytest.raises(KeyboardInterrupt):
@@ -196,26 +190,13 @@ def test_interrupt_flushes_completed_replicates(tmp_path, monkeypatch, caplog):
                 on_interrupt=lambda result: emit_results(result.rows, "csv", str(flushed)),
             )
     assert any("interrupted" in rec.message for rec in caplog.records)
-
-    monkeypatch.setattr(harness, "_outer_block", block)
-    clean = tmp_path / "clean.csv"
-    emit_results(run_experiment(tiny_config(outer_reps=2)).rows, "csv", str(clean))
     assert flushed.read_bytes() == clean.read_bytes()
 
 
-def test_interrupt_in_the_truth_phase_flushes_nothing(monkeypatch):
+def test_interrupt_in_the_truth_phase_flushes_nothing(interrupt_block):
     # 60 truth replicates at one job run as eight blocks; the second is
     # interrupted before any outer replicate has run
-    block = harness._truth_block
-    calls = []
-
-    def interrupted_block(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise KeyboardInterrupt
-        return block(*args)
-
-    monkeypatch.setattr(harness, "_truth_block", interrupted_block)
+    calls = interrupt_block("_truth_block")
     flushed = []
     with pytest.raises(KeyboardInterrupt):
         run_experiment(tiny_config(), jobs=1, on_interrupt=flushed.append)
@@ -365,7 +346,7 @@ def test_an_exception_in_a_worker_reaches_this_process(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def count_pools(monkeypatch, pick=lambda asked: asked):
+def count_workers(monkeypatch, pick=lambda asked: asked):
     """Route ``multiprocessing.get_context(asked)`` to the context ``pick(asked)``
     names, and return the start methods of the worker processes made through it."""
     get_context = multiprocessing.get_context
@@ -386,9 +367,9 @@ def count_pools(monkeypatch, pick=lambda asked: asked):
     return started
 
 
-def test_one_pool_per_run(monkeypatch):
+def test_one_set_of_workers_per_run(monkeypatch):
     # a run starts jobs - 1 workers, which serve both of its phases; one job starts none
-    started = count_pools(monkeypatch)
+    started = count_workers(monkeypatch)
     cfg = tiny_config(outer_reps=4, truth_reps=20)
     for jobs in (2, 3, 1):
         started.clear()
@@ -418,9 +399,9 @@ def needs_start_method(method):
 
 
 @needs_start_method("forkserver")
-def test_pool_forks_on_linux_whatever_the_default(monkeypatch):
+def test_workers_fork_on_linux_whatever_the_default(monkeypatch):
     # forkserver stands in for the interpreter's default, as from Python 3.14
-    started = count_pools(monkeypatch, lambda asked: asked or "forkserver")
+    started = count_workers(monkeypatch, lambda asked: asked or "forkserver")
     cfg = tiny_config(truth_reps=20)
     assert np.array_equal(run_truth(cfg, jobs=2).sample, run_truth(cfg, jobs=1).sample)
     assert started == ["fork" if sys.platform == "linux" else "forkserver"]
@@ -434,13 +415,13 @@ def test_rows_are_byte_identical_under_every_start_method(monkeypatch, method):
     # default from Python 3.14
     cfg = tiny_config(outer_reps=4, truth_reps=20)
     serial = run_experiment(cfg, jobs=1)
-    started = count_pools(monkeypatch, lambda asked: method)
-    pooled = run_experiment(cfg, jobs=2)
+    started = count_workers(monkeypatch, lambda asked: method)
+    parallel = run_experiment(cfg, jobs=2)
     assert started == [method]
-    assert pooled.rows == serial.rows
-    assert pooled.per_rep_ks.keys() == serial.per_rep_ks.keys()
+    assert parallel.rows == serial.rows
+    assert parallel.per_rep_ks.keys() == serial.per_rep_ks.keys()
     for name, values in serial.per_rep_ks.items():
-        assert pooled.per_rep_ks[name].tobytes() == values.tobytes()
+        assert parallel.per_rep_ks[name].tobytes() == values.tobytes()
 
 
 def test_jobs_below_one_rejected():

@@ -85,6 +85,23 @@ def test_summary_scales_with_the_data(rng, scale):
             assert getattr(scaled, name) == pytest.approx(scale * getattr(plain, name), rel=1e-12, abs=0.0)
 
 
+def test_summary_at_the_float_maximum_is_the_unit_summary_shifted(rng):
+    # entries up to 2^1023: a column sum overflows unless the columns are
+    # scaled first, and by a power of two the summary moves by it exactly
+    values, mean = rng.uniform(-1.0, 1.0, (20, 4)), np.full(4, -0.25)
+    for center in Centering:
+        unit = estimate_moment_summary(DataMatrix(values, mean), center)
+        big = estimate_moment_summary(DataMatrix(np.ldexp(values, 1023), np.ldexp(mean, 1023)), center)
+        for name in ("M2", "M4", "M6", "sigma_lower", "Mcal4"):
+            assert getattr(big, name) == np.ldexp(getattr(unit, name), 1023)
+
+
+def test_summary_at_a_known_mean_far_from_the_data(rng):
+    # the known mean sets the columns' scale: every |x - 1e200| rounds to 1e200
+    s = estimate_moment_summary(DataMatrix(rng.uniform(-1.0, 1.0, (20, 4)), np.full(4, 1e200)), Centering.KNOWN_MEAN)
+    assert [s.M2, s.M4, s.M6, s.sigma_lower, s.Mcal4] == pytest.approx([1e200] * 5, rel=1e-14)
+
+
 def test_summary_known_mean_requires_vector():
     data = DataMatrix(np.ones((3, 2)))
     with pytest.raises(ValueError):

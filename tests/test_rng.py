@@ -33,7 +33,9 @@ def state_of(gen: np.random.Generator) -> tuple[int, int]:
     return st["state"]["state"], st["state"]["inc"]
 
 
-def check_match_child_rng(spec, count):
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+@pytest.mark.parametrize("count", [1, 600])
+def test_child_rngs_match_child_rng(seating, spec, count):
     seen = 0
     for r, gen in enumerate(spec.child_rngs(count).take(count)):
         ref = spec.child(r).rng()
@@ -47,7 +49,7 @@ def check_match_child_rng(spec, count):
     assert seen == count
 
 
-def check_reset_after_odd_32_bit_draws():
+def test_child_rngs_resets_state_left_by_odd_32_bit_draws(seating):
     # an odd count of 32-bit draws leaves a buffered half word in the bit generator
     spec = SeedSpec(42).child(1)
     for r, gen in enumerate(spec.child_rngs(3).take(3)):
@@ -57,44 +59,12 @@ def check_reset_after_odd_32_bit_draws():
         assert gen.random() == ref.random()
 
 
-def check_batch_crossing():
+def test_child_rngs_crosses_derivation_batches(seating):
     spec = SeedSpec(3).child(1, 4)
     picked = {0, 4095, 4096, 4097, 8999}
     for r, gen in enumerate(spec.child_rngs(9000).take(9000)):
         if r in picked:
             assert gen.bit_generator.state == spec.child(r).rng().bit_generator.state
-
-
-# each check runs twice: on the seating the layout check selects (the memory
-# write wherever numpy has a native 128-bit PCG64), and on the dict fallback
-
-
-@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
-@pytest.mark.parametrize("count", [1, 600])
-def test_child_rngs_match_child_rng(spec, count):
-    check_match_child_rng(spec, count)
-
-
-@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
-@pytest.mark.parametrize("count", [1, 600])
-def test_dict_fallback_child_rngs_match_child_rng(dict_fallback, spec, count):
-    check_match_child_rng(spec, count)
-
-
-def test_child_rngs_resets_state_left_by_odd_32_bit_draws():
-    check_reset_after_odd_32_bit_draws()
-
-
-def test_dict_fallback_resets_state_left_by_odd_32_bit_draws(dict_fallback):
-    check_reset_after_odd_32_bit_draws()
-
-
-def test_child_rngs_crosses_derivation_batches():
-    check_batch_crossing()
-
-
-def test_dict_fallback_crosses_derivation_batches(dict_fallback):
-    check_batch_crossing()
 
 
 def test_child_rngs_count_bounds():
