@@ -5,7 +5,9 @@ Subcommands:
   maxboot check    run the numerical verification suites, one JSON line each
   maxboot certify  moment summary and rate certificates for a CSV data matrix
 
-Exit codes: 0 success, 1 configuration error, 2 check-suite failure.
+Exit codes: 0 success, 1 configuration error, 2 check-suite failure. Exit 1
+also means that stdout was closed before the output was written (a reader
+such as `| head` stopped early), and then nothing is printed to stderr.
 Progress goes to stderr; data goes to files or stdout.
 """
 
@@ -17,6 +19,7 @@ import functools
 import itertools
 import json
 import logging
+import os
 import sys
 import warnings
 
@@ -293,6 +296,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); fd 1 goes to devnull, so
+        # that shutdown does not flush into the pipe and fail again
+        try:
+            stdout = sys.stdout.fileno()
+        except ValueError:  # stdout has no descriptor
+            return 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        return 1
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

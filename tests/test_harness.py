@@ -432,13 +432,13 @@ def test_jobs_below_one_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("outer_reps and truth_reps must be at least 1")):
         tiny_config(outer_reps=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("alpha_level must lie in (0, 1)")):
         tiny_config(alpha_level=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("at least one bootstrap scheme is required")):
         tiny_config(schemes=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("scheme names must be unique: empirical appears 2 times")):
         tiny_config(schemes=(BootstrapPlan.empirical(5), BootstrapPlan.empirical(9)))
 
 
