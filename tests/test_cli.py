@@ -197,6 +197,8 @@ def no_run(monkeypatch):
         ("schemes", "g,mix:0.3,mixed:0.4", "scheme names must be unique: mixed appears 2 times, with p0 0.3 and 0.4"),
         ("schemes", "g,e,gaussian,G", "scheme names must be unique: gaussian appears 3 times"),
         ("figure_data", "", "--figure-data is an empty path"),
+        ("rho", "1", "rho must lie in [0, 1), got 1.0"),
+        ("alpha", "0", "alpha_level must lie in (0, 1)"),
     ],
 )
 def test_config_file_range_error_names_file_and_line(tmp_path, capsys, no_run, key, value, message):
@@ -564,9 +566,7 @@ def test_check_subcommand_json_lines(capsys):
 @pytest.mark.parametrize("suite", ["all", "anticonc"])
 def test_check_small_reps_fails_before_any_suite(capsys, suite):
     assert main(["check", "--suite", suite, "--reps", "500"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: --reps must be at least 10000 for the anticonc suite\n"
+    assert capsys.readouterr() == ("", "error: --reps must be at least 10000 for the anticonc suite\n")
 
 
 def test_check_suite_all_is_every_suite_in_order(capsys):
