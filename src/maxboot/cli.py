@@ -295,15 +295,15 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a piped stdout holds small output until it is flushed; flush here so
+        # that a closed pipe fails inside this try, not at interpreter shutdown
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # the reader closed stdout early (`| head`); fd 1 goes to devnull, so
         # that shutdown does not flush into the pipe and fail again
-        try:
-            stdout = sys.stdout.fileno()
-        except ValueError:  # stdout has no descriptor
-            return 1
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

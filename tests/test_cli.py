@@ -26,7 +26,10 @@ from maxboot.stat_core import MaxMode
 def run_cli(*argv, stdout=subprocess.PIPE):
     """`maxboot ARGV` in a fresh interpreter, with stderr captured."""
     return subprocess.run(
-        [sys.executable, "-m", "maxboot.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True
+        [sys.executable, "-m", "maxboot.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
     )
 
 
@@ -485,10 +488,14 @@ def test_progress_lines_count_each_block(jobs, truth_step, outer_step):
     assert proc.stderr.splitlines() == [f"INFO maxboot.harness: {line}" for line in lines]
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["run", "check", "certify"])
-def test_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, command):
+def test_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, monkeypatch, command, unbuffered):
     # a reader that stops early (`maxboot certify ... | head`) is not an error
-    # of the program; the pipe's read end is closed before the child starts
+    # of the program; the pipe's read end is closed before the child starts.
+    # A buffered stdout (the default on a pipe) holds the output until a flush;
+    # an unbuffered one (PYTHONUNBUFFERED) fails at the command's first write
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
     matrix = tmp_path / "matrix.csv"
     matrix.write_text(MATRIX)
     argv = {
