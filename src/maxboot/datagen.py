@@ -54,6 +54,7 @@ import enum
 import functools
 import itertools
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -89,6 +90,12 @@ class CopulaSpec:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if not 0.0 < self.shape_alpha < math.inf:
             raise ValueError(f"shape_alpha must be positive and finite, got {self.shape_alpha}")
+        if self.shape_alpha < sys.float_info.min:
+            # scipy's gamma inverses give NaN or 0 at subnormal shapes
+            raise ValueError(
+                f"shape_alpha must be at least {sys.float_info.min} (the smallest normal double),"
+                f" got {self.shape_alpha}"
+            )
 
 
 @dataclass(frozen=True)

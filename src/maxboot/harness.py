@@ -261,7 +261,7 @@ def _truth_law(config: ExperimentConfig, run) -> EmpiricalDistribution:
 
 def run_truth(config: ExperimentConfig, jobs: int = 1) -> EmpiricalDistribution:
     """Monte Carlo law of the true statistic over truth_reps fresh datasets."""
-    with _block_map(jobs) as run:
+    with _block_map(min(jobs, config.truth_reps)) as run:
         return _truth_law(config, run)
 
 
@@ -302,7 +302,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, on_interrupt=None) -
     """
     per_rep: list = []
     try:
-        with _block_map(jobs) as run:
+        # a process beyond the larger phase's replicate count would get no block
+        with _block_map(min(jobs, max(config.truth_reps, config.outer_reps))) as run:
             truth = _truth_law(config, run)
             logger.info("running %d outer replicates", config.outer_reps)
             run(functools.partial(_outer_block, config, truth), config.outer_reps, per_rep, "outer")

@@ -43,6 +43,22 @@ def interrupt_block(monkeypatch):
     return patch
 
 
+def rejection_table(*rows):
+    """One test over rows of (call, exception type, message): each call must
+    raise that type with exactly that message, in an empty directory that it
+    leaves empty."""
+
+    @pytest.mark.parametrize("call, exc, message", rows)
+    def test(call, exc, message, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(exc) as err:
+            call()
+        assert str(err.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    return test
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -16,6 +16,7 @@ from maxboot.bootstrap import (
     MAMMEN_VALUE_PLUS,
     RADEMACHER,
     BootstrapPlan,
+    MultiplierKind,
     _fill_rows,
     _rejected_rows,
     bootstrap_distribution,
@@ -30,7 +31,7 @@ from maxboot.datagen import DataMatrix
 from maxboot.rng import SeedSpec
 from maxboot.stat_core import EmpiricalDistribution, MaxMode
 
-from conftest import oracle_row, seed
+from conftest import oracle_row, rejection_table, seed
 
 ALL_PLANS = (
     BootstrapPlan.wild(GAUSSIAN),
@@ -137,17 +138,6 @@ def test_mixed_gaussian_branch_is_scaled_normal():
     g = w[~atoms]
     assert g.mean() == pytest.approx(0.0, abs=4 * a0 / math.sqrt(g.size))
     assert g.var() == pytest.approx(a0**2, rel=0.02)
-
-
-def test_multiplier_kind_validation():
-    from maxboot.bootstrap import MultiplierKind
-
-    with pytest.raises(ValueError):
-        MultiplierKind("bogus")
-    with pytest.raises(ValueError):
-        MultiplierKind("mixed", p0=1.0)
-    with pytest.raises(ValueError):
-        MultiplierKind("gaussian", p0=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +453,7 @@ def test_determinism_across_runs_and_threads():
             assert np.array_equal(f.result().sample, ref)
 
 
-def test_bootstrap_rejects_single_row():
-    data = DataMatrix(np.ones((1, 3)))
-    with pytest.raises(ValueError):
-        bootstrap_stat_once(data, BootstrapPlan.empirical(), MaxMode.ONE_SIDED, seed(27))
-
-
-def test_plan_validation_and_centering_flags():
-    with pytest.raises(ValueError):
-        BootstrapPlan.mixed_wild(p0=0.0)
-    with pytest.raises(ValueError):
-        BootstrapPlan.empirical(b_reps=0)
+def test_plan_centering_flags():
     assert BootstrapPlan.empirical().center_by_sample_mean
     assert BootstrapPlan.wild(MAMMEN).center_by_sample_mean
     assert not BootstrapPlan.mixed_wild(0.5).center_by_sample_mean
@@ -594,15 +574,23 @@ def test_parse_gives_the_constructors_plan(tokens, plan):
     assert [BootstrapPlan.parse(token, 7) for token in tokens] == [plan] * len(tokens)
 
 
-@pytest.mark.parametrize("token", ["g:0.3", "e:0.2", "r:1", "mammen:0.5", "mix:0", "mix:x"])
-def test_parse_rejects_an_argument_the_law_does_not_take(token):
-    with pytest.raises(ValueError) as err:
-        BootstrapPlan.parse(token, 7)
-    assert str(err.value) == f"bad scheme {token!r} (use mix[:p0] with p0 a number in (0, 1))"
+BAD_SCHEME = "bad scheme {!r} (use mix[:p0] with p0 a number in (0, 1))"
 
 
-@pytest.mark.parametrize("token, shown", [(" ZZ ", "zz"), ("", "")], ids=["zz", "empty"])
-def test_parse_rejects_unknown_tokens(token, shown):
-    with pytest.raises(ValueError) as err:
-        BootstrapPlan.parse(token, 7)
-    assert str(err.value) == f"unknown scheme {shown!r} (use g, m, r, e, mix[:p0])"
+test_rejects_bad_input = rejection_table(
+    (lambda: MultiplierKind("bogus"), ValueError, "unknown multiplier law 'bogus'"),
+    (lambda: MultiplierKind("mixed", p0=1.0), ValueError, "mixed multiplier requires p0 in (0, 1)"),
+    (lambda: MultiplierKind("gaussian", p0=0.5), ValueError, "p0 only applies to the mixed law, not 'gaussian'"),
+    (lambda: BootstrapPlan.mixed_wild(p0=0.0), ValueError, "mixed multiplier requires p0 in (0, 1)"),
+    (lambda: BootstrapPlan.empirical(b_reps=0), ValueError, "b_reps must be at least 1"),
+    (lambda: bootstrap_stat_once(DataMatrix(np.ones((1, 3))), BootstrapPlan.empirical(), MaxMode.ONE_SIDED, seed(27)),
+     ValueError, "bootstrap requires at least two rows"),
+    (lambda: BootstrapPlan.parse("g:0.3", 7), ValueError, BAD_SCHEME.format("g:0.3")),
+    (lambda: BootstrapPlan.parse("e:0.2", 7), ValueError, BAD_SCHEME.format("e:0.2")),
+    (lambda: BootstrapPlan.parse("r:1", 7), ValueError, BAD_SCHEME.format("r:1")),
+    (lambda: BootstrapPlan.parse("mammen:0.5", 7), ValueError, BAD_SCHEME.format("mammen:0.5")),
+    (lambda: BootstrapPlan.parse("mix:0", 7), ValueError, BAD_SCHEME.format("mix:0")),
+    (lambda: BootstrapPlan.parse("mix:x", 7), ValueError, BAD_SCHEME.format("mix:x")),
+    (lambda: BootstrapPlan.parse(" ZZ ", 7), ValueError, "unknown scheme 'zz' (use g, m, r, e, mix[:p0])"),
+    (lambda: BootstrapPlan.parse("", 7), ValueError, "unknown scheme '' (use g, m, r, e, mix[:p0])"),
+)

@@ -110,30 +110,25 @@ def test_config_file_preset_key(tmp_path):
     assert config.truth_reps == 44  # file overrides preset member
 
 
-def test_config_file_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus = 3\n")
-    with pytest.raises(ValueError):
-        build_config(parse_args("--config", str(cfg)))
-
-
-def test_config_file_bad_value_names_path_line_and_key(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("outer = 3\nn = abc\n")
-    with pytest.raises(ValueError) as err:
-        build_config(parse_args("--config", str(cfg)))
-    assert str(err.value) == f"{cfg}:2: key 'n' expects an integer, got 'abc'"
-
-
 @pytest.mark.parametrize(
-    "line, key", [("format = xml", "format"), ("mode = sideways", "mode"), ("experiment = III", "experiment")]
+    "line, message",
+    [
+        ("bogus = 3", "unknown config key 'bogus'"),
+        ("n = abc", "key 'n' expects an integer, got 'abc'"),
+        ("rho = abc", "key 'rho' expects a number, got 'abc'"),
+        ("format = xml", "key 'format' expects one of csv, json, got 'xml'"),
+        ("mode = sideways", "key 'mode' expects one of onesided, abs, got 'sideways'"),
+        ("experiment = III", "key 'experiment' expects one of I, II, got 'III'"),
+        ("preset = huge", "key 'preset' expects one of desk, paper, got 'huge'"),
+        ("outer 3", "expected 'key = value', got 'outer 3'"),
+    ],
 )
-def test_config_file_bad_choice_fails_before_the_run(tmp_path, line, key):
+def test_config_file_only_errors_name_file_and_line(tmp_path, line, message):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
+    cfg.write_text(f"outer = 3\n{line}\n")
     with pytest.raises(ValueError) as err:
         build_config(parse_args("--config", str(cfg)))
-    assert str(err.value).startswith(f"{cfg}:1: key '{key}' ")
+    assert str(err.value) == f"{cfg}:2: {message}"
 
 
 def test_readme_config_keys_match_run_keys():
@@ -202,6 +197,8 @@ def no_run(monkeypatch):
         ("figure_data", "", "--figure-data is an empty path"),
         ("rho", "1", "rho must lie in [0, 1), got 1.0"),
         ("alpha", "0", "alpha_level must lie in (0, 1)"),
+        ("shape", "1e-320",
+         "shape_alpha must be at least 2.2250738585072014e-308 (the smallest normal double), got 1e-320"),
     ],
 )
 def test_config_file_range_error_names_file_and_line(tmp_path, capsys, no_run, key, value, message):

@@ -25,7 +25,7 @@ from maxboot.datagen import (
 )
 from maxboot.rng import SeedSpec
 
-from conftest import seed
+from conftest import rejection_table, seed
 
 
 def latent_normals(data: DataMatrix, shape_alpha: float) -> np.ndarray:
@@ -63,14 +63,6 @@ def test_gamma_quantile_cdf_contract_in_tails():
         for a in (0.3, 1.0, 7.0):
             x = gamma_quantile(u, a)
             assert abs(special.gammainc(a, x) - u) <= 1e-10 * u + 1e-15
-
-
-def test_gamma_quantile_rejects_boundary():
-    for bad in (0.0, 1.0, -0.2, 1.7):
-        with pytest.raises(ValueError):
-            gamma_quantile(bad, 2.0)
-    with pytest.raises(ValueError):
-        gamma_quantile(0.5, 0.0)
 
 
 def test_gamma_quantile_vectorized_shape():
@@ -374,20 +366,21 @@ def test_unallocatable_dataset_fails_on_its_own_array():
 # ---------------------------------------------------------------------------
 
 
-def test_copula_spec_validation():
-    with pytest.raises(ValueError):
-        CopulaSpec(Dependence.AR1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        CopulaSpec(Dependence.AR1, -0.1, 1.0)
-    for shape in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="shape_alpha must be positive and finite"):
-            CopulaSpec(Dependence.AR1, 0.5, shape)
-
-
-def test_data_matrix_validation():
-    with pytest.raises(ValueError):
-        DataMatrix(np.array([[np.nan]]))
-    with pytest.raises(ValueError):
-        DataMatrix(np.empty((0, 3)))
-    with pytest.raises(ValueError):
-        DataMatrix(np.ones((3, 2)), known_mean=np.ones(5))
+test_rejects_bad_input = rejection_table(
+    (lambda: gamma_quantile(0.0, 2.0), ValueError, "u must lie strictly inside (0, 1)"),
+    (lambda: gamma_quantile(1.0, 2.0), ValueError, "u must lie strictly inside (0, 1)"),
+    (lambda: gamma_quantile(-0.2, 2.0), ValueError, "u must lie strictly inside (0, 1)"),
+    (lambda: gamma_quantile(1.7, 2.0), ValueError, "u must lie strictly inside (0, 1)"),
+    (lambda: gamma_quantile(0.5, 0.0), ValueError, "shape_alpha must be positive"),
+    (lambda: CopulaSpec(Dependence.AR1, 1.0, 1.0), ValueError, "rho must lie in [0, 1), got 1.0"),
+    (lambda: CopulaSpec(Dependence.AR1, -0.1, 1.0), ValueError, "rho must lie in [0, 1), got -0.1"),
+    (lambda: CopulaSpec(Dependence.AR1, 0.5, 0.0), ValueError, "shape_alpha must be positive and finite, got 0.0"),
+    (lambda: CopulaSpec(Dependence.AR1, 0.5, math.inf), ValueError, "shape_alpha must be positive and finite, got inf"),
+    (lambda: CopulaSpec(Dependence.AR1, 0.5, math.nan), ValueError, "shape_alpha must be positive and finite, got nan"),
+    # scipy's gamma inverses give NaN or 0 at subnormal shapes
+    (lambda: CopulaSpec(Dependence.AR1, 0.5, 1e-320), ValueError,
+     "shape_alpha must be at least 2.2250738585072014e-308 (the smallest normal double), got 1e-320"),
+    (lambda: DataMatrix(np.array([[np.nan]])), ValueError, "data entries must be finite"),
+    (lambda: DataMatrix(np.empty((0, 3))), ValueError, "values must be a nonempty 2-d array"),
+    (lambda: DataMatrix(np.ones((3, 2)), known_mean=np.ones(5)), ValueError, "known_mean must have length p"),
+)

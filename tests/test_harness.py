@@ -27,8 +27,9 @@ from maxboot.harness import (
     run_experiment,
     run_truth,
 )
-from maxboot.rng import SeedSpec
 from maxboot.stat_core import EmpiricalDistribution, MaxMode, two_sample_ks
+
+from conftest import rejection_table
 
 
 def tiny_config(**overrides):
@@ -379,6 +380,18 @@ def test_one_set_of_workers_per_run(monkeypatch):
         assert len(started) == 2 * (jobs - 1)
 
 
+def test_no_more_processes_than_the_larger_phase_has_replicates(monkeypatch):
+    # at jobs 4, truth 2 and outer 1 fork one worker and truth 1 alone none;
+    # the blocks may move, the rows may not
+    cfg = tiny_config(outer_reps=1, truth_reps=2)
+    serial = run_experiment(cfg, jobs=1)
+    started = count_workers(monkeypatch)
+    assert run_experiment(cfg, jobs=4).rows == serial.rows
+    assert len(started) == 1
+    run_truth(tiny_config(truth_reps=1), jobs=4)
+    assert len(started) == 1
+
+
 def test_a_run_at_two_jobs_leaves_no_pool_module_or_thread():
     # the workers are plain processes on pipes: no pool module, and no
     # handler thread beside the main one
@@ -422,33 +435,6 @@ def test_rows_are_byte_identical_under_every_start_method(monkeypatch, method):
     assert parallel.per_rep_ks.keys() == serial.per_rep_ks.keys()
     for name, values in serial.per_rep_ks.items():
         assert parallel.per_rep_ks[name].tobytes() == values.tobytes()
-
-
-def test_jobs_below_one_rejected():
-    with pytest.raises(ValueError, match="jobs must be at least 1"):
-        run_truth(tiny_config(), jobs=0)
-    with pytest.raises(ValueError, match="jobs must be at least 1"):
-        run_experiment(tiny_config(), jobs=-3)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError, match=re.escape("outer_reps and truth_reps must be at least 1")):
-        tiny_config(outer_reps=0)
-    with pytest.raises(ValueError, match=re.escape("alpha_level must lie in (0, 1)")):
-        tiny_config(alpha_level=1.0)
-    with pytest.raises(ValueError, match=re.escape("at least one bootstrap scheme is required")):
-        tiny_config(schemes=())
-    with pytest.raises(ValueError, match=re.escape("scheme names must be unique: empirical appears 2 times")):
-        tiny_config(schemes=(BootstrapPlan.empirical(5), BootstrapPlan.empirical(9)))
-
-
-def test_negative_master_seed_fails_at_construction():
-    # a library caller learns of a bad seed here, not inside the first dataset
-    with pytest.raises(ValueError) as want:
-        SeedSpec(-1)
-    with pytest.raises(ValueError) as err:
-        tiny_config(master_seed=-1)
-    assert str(err.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +497,6 @@ def test_emit_results_six_significant_digits(tmp_path):
     assert fields[6] == "0.666667"
 
 
-def test_emit_results_errors(tmp_path):
-    with pytest.raises(ValueError):
-        emit_results([], "csv", str(tmp_path / "rows.csv"))
-    with pytest.raises(ValueError) as err:
-        emit_results(rows_fixture(), "yaml", str(tmp_path / "rows.csv"))
-    assert str(err.value) == "format must be 'csv' or 'json', got 'yaml'"
-    with pytest.raises(OSError) as err:
-        emit_results(rows_fixture(), "csv", str(tmp_path / "nodir" / "rows.csv"))
-    assert "nodir" in str(err.value)
-
-
 def test_emit_figure_data(tmp_path):
     path = tmp_path / "fig.csv"
     values = {"mammen": np.array([0.1, 0.2, 0.3]), "gaussian": np.array([0.4, 0.5, 0.6])}
@@ -569,3 +544,23 @@ def test_perfbench_traced_cell_runs():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["exit"] == 0
     assert result["layers"]["harness.run_experiment"]["calls"] == 1
+
+
+test_rejects_bad_input = rejection_table(
+    (lambda: run_truth(tiny_config(), jobs=0), ValueError, "jobs must be at least 1"),
+    (lambda: run_experiment(tiny_config(), jobs=-3), ValueError, "jobs must be at least 1"),
+    (lambda: tiny_config(outer_reps=0), ValueError, "outer_reps and truth_reps must be at least 1"),
+    (lambda: tiny_config(alpha_level=1.0), ValueError, "alpha_level must lie in (0, 1)"),
+    (lambda: tiny_config(n=1), ValueError, "need n >= 2 and p >= 1"),
+    (lambda: tiny_config(schemes=()), ValueError, "at least one bootstrap scheme is required"),
+    (lambda: tiny_config(schemes=(BootstrapPlan.empirical(5), BootstrapPlan.empirical(9))), ValueError,
+     "scheme names must be unique: empirical appears 2 times"),
+    # a library caller learns of a bad seed here, not inside the first dataset
+    (lambda: tiny_config(master_seed=-1), ValueError, "seed components must be nonnegative integers"),
+    (lambda: emit_results([], "csv", "rows.csv"), ValueError, "rows must be nonempty"),
+    (lambda: emit_results(rows_fixture(), "yaml", "rows.csv"), ValueError,
+     "format must be 'csv' or 'json', got 'yaml'"),
+    (lambda: emit_results(rows_fixture(), "csv", "nodir/rows.csv"), OSError,
+     "cannot write results to 'nodir/rows.csv': [Errno 2] No such file or directory: 'nodir/rows.csv'"),
+    (lambda: emit_figure_data({}, "fig.csv"), ValueError, "per_rep_values must be nonempty"),
+)

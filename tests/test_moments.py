@@ -10,12 +10,13 @@ from maxboot.moments import (
     Centering,
     MomentSummary,
     RateBranch,
+    _DegenerateSummary,
     estimate_moment_summary,
     moment_tensor_diff_max,
     rate_certificate,
 )
 
-from conftest import oracle_row, seed
+from conftest import oracle_row, rejection_table, seed
 from oracles import bootstrap_moment_tensor_mc
 
 
@@ -102,12 +103,6 @@ def test_summary_at_a_known_mean_far_from_the_data(rng):
     assert [s.M2, s.M4, s.M6, s.sigma_lower, s.Mcal4] == pytest.approx([1e200] * 5, rel=1e-14)
 
 
-def test_summary_known_mean_requires_vector():
-    data = DataMatrix(np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        estimate_moment_summary(data, Centering.KNOWN_MEAN)
-
-
 # ---------------------------------------------------------------------------
 # rate certificates
 # ---------------------------------------------------------------------------
@@ -173,15 +168,6 @@ def test_certificate_kappa_and_default_bn():
     assert cert.kappa_n4 == pytest.approx(b_n**4 * math.log(p) ** 3 / n, rel=1e-12)
 
 
-def test_certificate_rejects_degenerate():
-    s = MomentSummary(M2=0.0, M4=0.0, M6=0.0, sigma_lower=0.0, Mcal4=0.0,
-                      Mcal_m1={4: 0.0}, Mcal_m2={4: 0.0})
-    with pytest.raises(ValueError):
-        rate_certificate(s, 100, 10, "empirical")
-    with pytest.raises(ValueError):
-        rate_certificate(unit_summary(), 100, 10, "bogus")
-
-
 # ---------------------------------------------------------------------------
 # moment tensor diagnostics
 # ---------------------------------------------------------------------------
@@ -223,13 +209,28 @@ def test_fourth_order_guarded_but_supported(rng):
     assert got == pytest.approx(expect, abs=1e-12)
 
 
-def test_tensor_size_guards(rng):
-    with pytest.raises(ValueError):
-        moment_tensor_diff_max(DataMatrix(rng.standard_normal((5, 65))), BootstrapPlan.empirical(), 3)
-    with pytest.raises(ValueError):
-        moment_tensor_diff_max(DataMatrix(rng.standard_normal((5, 17))), BootstrapPlan.empirical(), 4)
-    with pytest.raises(ValueError):
-        moment_tensor_diff_max(DataMatrix(rng.standard_normal((5, 3))), BootstrapPlan.empirical(), 5)
+DEGENERATE = MomentSummary(M2=0.0, M4=0.0, M6=0.0, sigma_lower=0.0, Mcal4=0.0, Mcal_m1={4: 0.0}, Mcal_m2={4: 0.0})
+
+
+def tensor_gap(n: int, p: int, order: int) -> float:
+    return moment_tensor_diff_max(DataMatrix(np.ones((n, p))), BootstrapPlan.empirical(), order)
+
+
+test_rejects_bad_input = rejection_table(
+    (lambda: estimate_moment_summary(DataMatrix(np.ones((3, 2))), Centering.KNOWN_MEAN), ValueError,
+     "centering at the known mean requires data.known_mean"),
+    (lambda: estimate_moment_summary(DataMatrix(np.ones((1, 2))), Centering.SAMPLE_MEAN), ValueError,
+     "need at least two rows"),
+    # the certify command reads this type to name the constant column
+    (lambda: rate_certificate(DEGENERATE, 100, 10, "empirical"), _DegenerateSummary,
+     "degenerate summary: sigma_lower must be positive"),
+    (lambda: rate_certificate(unit_summary(), 100, 10, "bogus"), ValueError, "scheme must be 'empirical' or 'wild'"),
+    (lambda: rate_certificate(unit_summary(), 1, 10, "wild"), ValueError, "need n >= 2 and p >= 2"),
+    (lambda: tensor_gap(5, 65, 3), ValueError, "order-3 tensors are limited to p <= 64"),
+    (lambda: tensor_gap(5, 17, 4), ValueError, "order-4 tensors are limited to p <= 16"),
+    (lambda: tensor_gap(5, 3, 5), ValueError, "order must be 2, 3 or 4"),
+    (lambda: tensor_gap(1, 3, 2), ValueError, "need at least two rows"),
+)
 
 
 def test_monte_carlo_cross_check_agrees(rng):

@@ -9,6 +9,8 @@ from maxboot.datagen import CopulaSpec, Dependence
 from maxboot.harness import ExperimentConfig, run_experiment
 from maxboot.rng import SeedSpec
 
+from conftest import rejection_table
+
 # master seeds of one, two and three 32-bit words; paths of 0 to 6 keys, so
 # with the zero word and the child key the entropy runs from 3 words (below
 # the 4-word pool) to 12 words (past it)
@@ -67,14 +69,18 @@ def test_child_rngs_crosses_derivation_batches(seating):
             assert gen.bit_generator.state == spec.child(r).rng().bit_generator.state
 
 
-def test_child_rngs_count_bounds():
-    # a walk of no streams serves none, whatever is asked of it
+def test_a_walk_of_no_streams_serves_none():
     assert list(SeedSpec(1).child_rngs(0).take(1)) == []
+
+
+test_rejects_bad_input = rejection_table(
     # checked when called, not when first iterated
-    with pytest.raises(ValueError):
-        SeedSpec(1).child_rngs(-1)
-    with pytest.raises(ValueError):
-        SeedSpec(1).child_rngs(2**32 + 1)
+    (lambda: SeedSpec(1).child_rngs(-1), ValueError, "count must lie in [0, 2**32]"),
+    (lambda: SeedSpec(1).child_rngs(2**32 + 1), ValueError, "count must lie in [0, 2**32]"),
+    # a negative key has no finite word split, so child_rngs would never end
+    (lambda: SeedSpec(-1), ValueError, "seed components must be nonnegative integers"),
+    (lambda: SeedSpec(1).child(2, -3), ValueError, "seed components must be nonnegative integers"),
+)
 
 
 def test_streams_leave_a_walk_only_through_take():
@@ -188,13 +194,6 @@ def test_state_write_declined_when_a_word_reads_back_wrong(monkeypatch, word):
 
     monkeypatch.setattr(rng, "_read_seat", one_bit_off)
     assert rng._state_write_ok.__wrapped__() is False
-
-
-def test_negative_seed_or_key_is_rejected():
-    # a negative key has no finite word split, so child_rngs would never end
-    for make in (lambda: SeedSpec(-1), lambda: SeedSpec(1).child(2, -3)):
-        with pytest.raises(ValueError, match="seed components must be nonnegative integers"):
-            make()
 
 
 def test_short_paths_ending_in_zeros_share_a_stream():

@@ -18,6 +18,8 @@ from maxboot.stat_core import (
     upper_quantile,
 )
 
+from conftest import rejection_table
+
 
 def dist(*values):
     return EmpiricalDistribution(np.asarray(values, dtype=float))
@@ -77,11 +79,6 @@ def test_max_statistic_centering_identity():
     centered = DataMatrix(values - means)
     for mode in MaxMode:
         assert max_statistic(data, means, mode) == max_statistic(centered, np.zeros(2), mode)
-
-
-def test_max_statistic_length_mismatch():
-    with pytest.raises(ValueError):
-        max_statistic(DataMatrix(np.ones((2, 3))), np.zeros(2), MaxMode.ONE_SIDED)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +196,6 @@ def test_upper_quantile_nonincreasing_in_alpha(rng):
     assert all(x >= y for x, y in zip(qs, qs[1:]))
 
 
-def test_upper_quantile_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        upper_quantile(dist(1.0), 0.0)
-    with pytest.raises(ValueError):
-        upper_quantile(dist(1.0), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # KS distance
 # ---------------------------------------------------------------------------
@@ -274,20 +264,26 @@ def test_concentration_matches_oracle(rng):
         assert got == pytest.approx(concentration_oracle(sample, eps), abs=1e-12)
 
 
-def test_concentration_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        concentration_fn(dist(0.0), -1.0)
-
-
 # ---------------------------------------------------------------------------
 # empirical distribution container
 # ---------------------------------------------------------------------------
 
 
-def test_distribution_sorts_and_rejects_nan():
+def test_distribution_sorts():
     d = dist(3.0, 1.0, 2.0)
     assert d.sample.tolist() == [1.0, 2.0, 3.0]
-    with pytest.raises(ValueError):
-        dist(1.0, float("nan"))
-    with pytest.raises(ValueError):
-        EmpiricalDistribution(np.array([]))
+
+
+test_rejects_bad_input = rejection_table(
+    (lambda: dist(1.0, float("nan")), ValueError, "sample must not contain NaN"),
+    (lambda: EmpiricalDistribution(np.array([])), ValueError, "sample must be a nonempty 1-d array"),
+    (lambda: max_statistic(DataMatrix(np.ones((2, 3))), np.zeros(2), MaxMode.ONE_SIDED), ValueError,
+     "center must have length p=3"),
+    (lambda: smooth_max(np.zeros(2), 0.0), ValueError, "beta must be positive"),
+    (lambda: smooth_max(np.zeros((2, 2)), 1.0), ValueError, "z must be a nonempty 1-d array"),
+    (lambda: softmax_weights(np.zeros(2), -1.0), ValueError, "beta must be positive"),
+    (lambda: softmax_weights(np.array([]), 1.0), ValueError, "z must be a nonempty 1-d array"),
+    (lambda: upper_quantile(dist(1.0), 0.0), ValueError, "alpha must lie in (0, 1)"),
+    (lambda: upper_quantile(dist(1.0), 1.0), ValueError, "alpha must lie in (0, 1)"),
+    (lambda: concentration_fn(dist(0.0), -1.0), ValueError, "eps must be positive"),
+)

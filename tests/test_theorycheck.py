@@ -17,7 +17,7 @@ from maxboot.theorycheck import (
     fbeta_derivative,
 )
 
-from conftest import seed
+from conftest import rejection_table, seed
 from oracles import fd_smooth_max_tensor
 
 
@@ -85,13 +85,6 @@ def test_tensor_entries_sum_to_zero(rng):
     assert fbeta_derivative(z, beta, 4).sum() == pytest.approx(0.0, abs=1e-13)
 
 
-def test_tensor_guards():
-    with pytest.raises(ValueError):
-        fbeta_derivative(np.zeros(17), 1.0, 2)
-    with pytest.raises(ValueError):
-        fbeta_derivative(np.zeros(3), 1.0, 5)
-
-
 # ---------------------------------------------------------------------------
 # randomized inequality checks
 # ---------------------------------------------------------------------------
@@ -142,13 +135,6 @@ def test_lindeberg_identity_medium_case():
     report = check_lindeberg_permutation(4, 2, "smoothmax", seed(54))
     assert report.passed
     assert report.max_violation <= 1e-12
-
-
-def test_lindeberg_rejects_unknown_function():
-    with pytest.raises(ValueError):
-        check_lindeberg_permutation(3, 1, "asymmetric", seed(56))
-    with pytest.raises(ValueError):
-        check_lindeberg_permutation(7, 1, "sumsq", seed(56))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +196,14 @@ def test_anticoncentration_window_sup_is_never_below_the_old_grid(monkeypatch):
         assert report.details.startswith(f"MC sup {sup:.5f} ")
 
 
-def test_anticoncentration_rejects_small_mc():
-    with pytest.raises(ValueError):
-        check_gaussian_anticoncentration(3, 0.1, 100, seed(61))
+test_rejects_bad_input = rejection_table(
+    (lambda: fbeta_derivative(np.zeros(17), 1.0, 2), ValueError, "dense tensors are limited to p <= 16"),
+    (lambda: fbeta_derivative(np.zeros(3), 1.0, 5), ValueError, "order must be 1, 2, 3 or 4"),
+    (lambda: check_lindeberg_permutation(3, 1, "asymmetric", seed(56)), ValueError,
+     "unknown or non-permutation-invariant test function 'asymmetric'; choose from ['smoothmax', 'sumsq']"),
+    (lambda: check_lindeberg_permutation(7, 1, "sumsq", seed(56)), ValueError,
+     "n must lie in 2..6 (full n! enumeration)"),
+    (lambda: check_lindeberg_permutation(3, 4, "sumsq", seed(56)), ValueError, "p must lie in 1..3"),
+    (lambda: check_gaussian_anticoncentration(3, 0.1, 100, seed(61)), ValueError, "mc_reps must be at least 10000"),
+    (lambda: check_gaussian_anticoncentration(3, 0.0, 10000, seed(61)), ValueError, "eps must be positive"),
+)
