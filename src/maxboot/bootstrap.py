@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from maxboot import _kernels
-from maxboot.datagen import DataMatrix
+from maxboot.datagen import Centering, DataMatrix
 from maxboot.rng import _MAX_CHILDREN, SeedSpec, StreamWalk
 from maxboot.stat_core import EmpiricalDistribution, MaxMode
 
@@ -114,8 +114,7 @@ class BootstrapPlan:
     the wild bootstrap, or None for the empirical bootstrap.
 
     Empirical and wild resampling operate on sample-mean-centered rows;
-    the mixed wild bootstrap deliberately does not subtract the sample mean
-    (it centers at the known mean when the data carry one).
+    the mixed wild bootstrap centers at the known mean (``centering``).
     """
 
     multiplier: MultiplierKind | None
@@ -129,8 +128,18 @@ class BootstrapPlan:
             raise ValueError(f"b_reps must be at most 2**32, got {self.b_reps}")
 
     @property
-    def center_by_sample_mean(self) -> bool:
-        return self.multiplier is None or self.multiplier.name != "mixed"
+    def centering(self) -> Centering:
+        return Centering.KNOWN_MEAN if self.name == "mixed" else Centering.SAMPLE_MEAN
+
+    def centered(self, data: DataMatrix) -> np.ndarray:
+        """The data centered as this law centers them; the mixed law falls back
+        to the sample mean, with a warning, on data without a known mean."""
+        if self.centering is Centering.KNOWN_MEAN and data.known_mean is None:
+            logger.warning(
+                "mixed wild bootstrap without a known mean: falling back to sample-mean centering"
+            )
+            return data.centered(Centering.SAMPLE_MEAN)
+        return data.centered(self.centering)
 
     @property
     def name(self) -> str:
@@ -164,16 +173,6 @@ class BootstrapPlan:
         except ValueError:
             raise ValueError(f"bad scheme {token!r} (use mix[:p0] with p0 a number in (0, 1))") from None
         return cls(multiplier, b_reps)
-
-
-def _centered_values(data: DataMatrix, plan: BootstrapPlan) -> np.ndarray:
-    if plan.center_by_sample_mean:
-        return data.centered(at_known_mean=False)
-    if data.known_mean is None:
-        logger.warning(
-            "mixed wild bootstrap without a known mean: falling back to sample-mean centering"
-        )
-    return data.centered(at_known_mean=data.known_mean is not None)
 
 
 def _rejected_rows(halves: np.ndarray, k: int) -> np.ndarray:
@@ -291,7 +290,7 @@ def _replicates(
     if data.n < 2:
         raise ValueError("bootstrap requires at least two rows")
     fill = functools.partial(_fill_rows, plan.multiplier, walk)
-    return _kernels.max_reduce(_centered_values(data, plan), fill, b, mode is MaxMode.ABSOLUTE)
+    return _kernels.max_reduce(plan.centered(data), fill, b, mode is MaxMode.ABSOLUTE)
 
 
 def bootstrap_stat_once(

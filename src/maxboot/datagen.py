@@ -19,7 +19,10 @@ log x at y_k = -9 + k/512 from the exact inverse (``gammaincinv(a, ndtr(y))``,
 or ``gammainccinv(a, ndtr(-y))`` for y > 0) with exact slopes g' = phi(y) /
 (x f_a(x)), joined by cubic Hermite pieces (Fritsch & Carlson 1980).  Points
 off [-9, 9], or next to a knot whose x is not a normal double (shape 0.05 below
-y = -8.04), take the exact inverse.  Tested error: at most 1e-12 relative.
+y = -8.04), take the exact inverse.  Relative error against that inverse
+(scipy 1.17.1, y in [-9, 9]): at most 5.4e-13 for shapes up to 2e5, then
+7.1e-12 at 5e5, 1.9e-9 at 1e6 and 7.0e-6 at 1e8, all at y below -4.5.
+The tests hold shapes 0.05 to 1e4 to 1e-12.
 
 The transform runs in pieces of 2^14 entries through a few reused piece-sized
 buffers, so its temporaries stay in L2: the index arithmetic, the four
@@ -66,6 +69,7 @@ from maxboot.rng import SeedSpec
 __all__ = [
     "Dependence",
     "CopulaSpec",
+    "Centering",
     "DataMatrix",
     "sample_gaussian_copula",
     "gamma_quantile",
@@ -96,6 +100,11 @@ class CopulaSpec:
                 f"shape_alpha must be at least {sys.float_info.min} (the smallest normal double),"
                 f" got {self.shape_alpha}"
             )
+
+
+class Centering(enum.Enum):
+    KNOWN_MEAN = "known"
+    SAMPLE_MEAN = "sample"
 
 
 @dataclass(frozen=True)
@@ -132,9 +141,9 @@ class DataMatrix:
     def p(self) -> int:
         return self.values.shape[1]
 
-    def centered(self, at_known_mean: bool) -> np.ndarray:
+    def centered(self, center: Centering) -> np.ndarray:
         """The values minus the known mean, or minus the column sample means."""
-        if not at_known_mean:
+        if center is Centering.SAMPLE_MEAN:
             return self.values - self.values.mean(axis=0)
         if self.known_mean is None:
             raise ValueError("centering at the known mean requires data.known_mean")

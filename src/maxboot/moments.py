@@ -16,12 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from maxboot.bootstrap import (
-    BootstrapPlan,
-    _centered_values,
-    multiplier_moment,
-)
-from maxboot.datagen import DataMatrix
+from maxboot.bootstrap import BootstrapPlan, multiplier_moment
+from maxboot.datagen import Centering, DataMatrix
 
 __all__ = [
     "Centering",
@@ -34,11 +30,6 @@ __all__ = [
 ]
 
 _MCAL_ORDERS = (2, 3, 4, 6)
-
-
-class Centering(enum.Enum):
-    KNOWN_MEAN = "known"
-    SAMPLE_MEAN = "sample"
 
 
 @dataclass(frozen=True)
@@ -91,14 +82,13 @@ def estimate_moment_summary(data: DataMatrix, center: Centering) -> MomentSummar
     # each column, and the known mean it is centred at, times the power of two
     # 2^-e that takes their largest |value| below 1: exact, so neither the mean
     # nor a power overflows; the exponent e is added back after each root
-    known = center is Centering.KNOWN_MEAN
-    mean = data.known_mean if known else None
+    mean = data.known_mean if center is Centering.KNOWN_MEAN else None
     largest = np.abs(data.values).max(axis=0)
     if mean is not None:
         largest = np.maximum(largest, np.abs(mean))
     e = np.frexp(largest)[1]
     scaled = DataMatrix(np.ldexp(data.values, -e), None if mean is None else np.ldexp(mean, -e))
-    xc = np.abs(scaled.centered(known))
+    xc = np.abs(scaled.centered(center))
     # a column's sample mean need not round to its constant value
     xc[:, _zero_spread(data, center)] = 0.0
     # per column, the row-averaged |.|^m to the 1/m; its max over columns is
@@ -190,11 +180,10 @@ def moment_tensor_diff_max(data: DataMatrix, plan: BootstrapPlan, order: int) ->
     _tensor_guard(order, data.p)
     if data.n < 2:
         raise ValueError("need at least two rows")
-    sample_xc = data.centered(at_known_mean=False)
+    sample_xc = data.centered(Centering.SAMPLE_MEAN)
     mu_hat = _mean_tensor(sample_xc, order)
-    # the data as the plan centres them, centred (and warned about) once
-    xc = sample_xc if plan.center_by_sample_mean else _centered_values(data, plan)
-    nu_hat = mu_hat if xc is sample_xc else _mean_tensor(xc, order)
+    xc = plan.centered(data)
+    nu_hat = mu_hat if np.array_equal(xc, sample_xc) else _mean_tensor(xc, order)
     if plan.multiplier is not None:
         nu_hat = multiplier_moment(plan.multiplier, order) * nu_hat
     return float(np.abs(mu_hat - nu_hat).max())

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from maxboot.bootstrap import BootstrapPlan, _centered_values, _fill_rows
+from maxboot.bootstrap import BootstrapPlan, _fill_rows
 from maxboot.datagen import DataMatrix
 from maxboot.moments import _tensor_guard
 from maxboot.rng import SeedSpec
@@ -65,7 +65,7 @@ def bootstrap_moment_tensor_mc(
     moment tensor (1/n) sum_i (X*_i)^(x order) over the plan's ``b_reps``
     replicates, replicate r drawn from ``seed.child(r)``."""
     _tensor_guard(order, data.p)
-    xc = _centered_values(data, plan)
+    xc = plan.centered(data)
     n = data.n
     # per-row rank-one tensors, stacked: shape (n, p, ..., p)
     stack_spec = {2: "ia,ib->iab", 3: "ia,ib,ic->iabc", 4: "ia,ib,ic,id->iabcd"}[order]

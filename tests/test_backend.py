@@ -182,7 +182,7 @@ for p in (100, 400):
     for plan, mode in zip(plans, [MaxMode.ONE_SIDED, MaxMode.ABSOLUTE] * 3):
         rows = np.empty((b, n))
         bootstrap._fill_rows(plan.multiplier, seed.child_rngs(b), rows)
-        batch = reduce(bootstrap._centered_values(data, plan), rows, mode is MaxMode.ABSOLUTE)
+        batch = reduce(plan.centered(data), rows, mode is MaxMode.ABSOLUTE)
         law = bootstrap.bootstrap_distribution(data, plan, mode, seed)
         if not np.array_equal(np.sort(batch), law.sample):
             problems.append(f"p {p} {plan.name}: the law is not the sorted rows")

@@ -27,7 +27,7 @@ from maxboot.bootstrap import (
     multiplier_moment,
     multiplier_moments,
 )
-from maxboot.datagen import DataMatrix
+from maxboot.datagen import Centering, DataMatrix
 from maxboot.rng import SeedSpec
 from maxboot.stat_core import EmpiricalDistribution, MaxMode
 
@@ -454,12 +454,12 @@ def test_determinism_across_runs_and_threads():
 
 
 def test_plan_centering_flags():
-    assert BootstrapPlan.empirical().center_by_sample_mean
-    assert BootstrapPlan.wild(MAMMEN).center_by_sample_mean
-    assert not BootstrapPlan.mixed_wild(0.5).center_by_sample_mean
+    assert BootstrapPlan.empirical().centering is Centering.SAMPLE_MEAN
+    assert BootstrapPlan.wild(MAMMEN).centering is Centering.SAMPLE_MEAN
+    assert BootstrapPlan.mixed_wild(0.5).centering is Centering.KNOWN_MEAN
     # a wild plan with the mixed law is the mixed wild bootstrap, centering included
     assert BootstrapPlan.wild(mixed_multiplier(0.3)) == BootstrapPlan.mixed_wild(0.3)
-    assert not BootstrapPlan.wild(mixed_multiplier(0.3)).center_by_sample_mean
+    assert BootstrapPlan.wild(mixed_multiplier(0.3)).centering is Centering.KNOWN_MEAN
 
 
 def test_mixed_wild_warns_without_known_mean(caplog):
@@ -470,7 +470,7 @@ def test_mixed_wild_warns_without_known_mean(caplog):
     assert any("known mean" in rec.message for rec in caplog.records)
 
 
-def test_mixed_wild_centers_at_known_mean():
+def test_mixed_wild_centers_on_the_known_mean():
     # with a known mean of zero and all-positive data, mixed-wild statistics
     # see the raw rows, not mean-centered ones
     values = np.abs(np.sin(np.arange(20.0))).reshape(10, 2) + 1.0

@@ -76,7 +76,7 @@ def test_gamma_quantile_vectorized_shape():
 # normal -> gamma transform table
 # ---------------------------------------------------------------------------
 
-TABLE_SHAPES = (0.05, 0.25, 0.5, 1.0, 2.5, 10.0)
+TABLE_SHAPES = (0.05, 0.25, 0.5, 1.0, 2.5, 10.0, 1e4)
 KNOTS = -_EDGE + _STEP * np.arange(_INTERVALS + 1)
 
 

@@ -238,7 +238,7 @@ def test_monte_carlo_cross_check_agrees(rng):
     # E W^3 * (sample tensor) to 6 standard errors
     data = DataMatrix(rng.gamma(1.5, 1.0, (8, 2)))
     b = 20_000
-    xc = data.centered(at_known_mean=False)
+    xc = data.centered(Centering.SAMPLE_MEAN)
     sample = np.einsum("ia,ib,ic->abc", xc, xc, xc) / data.n
     for plan in (
         BootstrapPlan.empirical(b),
@@ -251,22 +251,22 @@ def test_monte_carlo_cross_check_agrees(rng):
 
 
 @pytest.mark.parametrize(
-    "plan, at_known_mean",
+    "plan, center",
     [
-        (BootstrapPlan.empirical(), False),
-        (BootstrapPlan.wild(MAMMEN), False),
-        (BootstrapPlan.mixed_wild(0.5), True),
+        (BootstrapPlan.empirical(), Centering.SAMPLE_MEAN),
+        (BootstrapPlan.wild(MAMMEN), Centering.SAMPLE_MEAN),
+        (BootstrapPlan.mixed_wild(0.5), Centering.KNOWN_MEAN),
     ],
     ids=["empirical", "mammen", "mixed"],
 )
-def test_moment_tensor_mc_draws_replicate_r_from_child_r(plan, at_known_mean):
+def test_moment_tensor_mc_draws_replicate_r_from_child_r(plan, center):
     # a loop over seed.child(r).rng() is the reference; the plan's 4100
     # replicates cross the 4096-replicate chunk boundary.  Only the mixed
     # wild bootstrap centers at the known mean; the others subtract the
     # sample mean.
     values = np.random.default_rng(5).gamma(1.0, 1.0, (6, 2))
     data = DataMatrix(values, known_mean=np.ones(2))
-    xc = values - (data.known_mean if at_known_mean else values.mean(axis=0))
+    xc = values - (data.known_mean if center is Centering.KNOWN_MEAN else values.mean(axis=0))
     b, n, s = 4100, 6, seed(41)
     plan = dataclasses.replace(plan, b_reps=b)
     reps = []
