@@ -21,7 +21,6 @@ from maxboot.bootstrap import (
     _rejected_rows,
     bootstrap_distribution,
     bootstrap_stat_once,
-    draw_multipliers,
     mixed_coefficients,
     mixed_multiplier,
     multiplier_moment,
@@ -96,50 +95,6 @@ def test_multiplier_fourth_moments():
     assert multiplier_moment(mixed_multiplier(p0), 4) == pytest.approx(expect, abs=1e-13)
 
 
-def test_sampled_moments_match_population():
-    n = 1_000_000
-    for kind in (GAUSSIAN, RADEMACHER, MAMMEN, mixed_multiplier(0.5)):
-        w = draw_multipliers(kind, n, seed(10, hash(kind.name) % 100))
-        m1, m2, m3 = multiplier_moments(kind)
-        var1 = multiplier_moment(kind, 2) - m1**2
-        assert w.mean() == pytest.approx(m1, abs=4 * math.sqrt(var1 / n))
-        var2 = multiplier_moment(kind, 4) - m2**2
-        if kind.name == "rademacher":
-            assert np.all(w**2 == 1.0)  # W^2 is identically one
-        else:
-            assert (w**2).mean() == pytest.approx(m2, abs=4 * math.sqrt(var2 / n) + 1e-12)
-
-
-def test_mammen_sampled_third_moment():
-    n = 1_000_000
-    w = draw_multipliers(MAMMEN, n, seed(11))
-    var3 = mammen_moment(6) - mammen_moment(3) ** 2
-    assert (w**3).mean() == pytest.approx(1.0, abs=4 * math.sqrt(var3 / n))
-
-
-def test_mixed_branch_fraction():
-    # Mammen-branch draws land on exactly two atoms; everything else is the
-    # continuous Gaussian branch
-    n = 1_000_000
-    p0 = 0.5
-    w = draw_multipliers(mixed_multiplier(p0), n, seed(12))
-    _, b0 = mixed_coefficients(p0)
-    atoms = np.isclose(w, b0 * MAMMEN_VALUE_PLUS) | np.isclose(w, b0 * MAMMEN_VALUE_MINUS)
-    frac_gauss = 1.0 - atoms.mean()
-    assert frac_gauss == pytest.approx(p0, abs=4 * math.sqrt(p0 * (1 - p0) / n))
-
-
-def test_mixed_gaussian_branch_is_scaled_normal():
-    n = 1_000_000
-    p0 = 0.4
-    a0, b0 = mixed_coefficients(p0)
-    w = draw_multipliers(mixed_multiplier(p0), n, seed(13))
-    atoms = np.isclose(w, b0 * MAMMEN_VALUE_PLUS) | np.isclose(w, b0 * MAMMEN_VALUE_MINUS)
-    g = w[~atoms]
-    assert g.mean() == pytest.approx(0.0, abs=4 * a0 / math.sqrt(g.size))
-    assert g.var() == pytest.approx(a0**2, rel=0.02)
-
-
 # ---------------------------------------------------------------------------
 # weight rows
 # ---------------------------------------------------------------------------
@@ -165,7 +120,7 @@ def test_replicate_rows_equal_numpy_per_row_draws(n, b):
     if n == 20001 and b > 40:
         # without rows that numpy redraws, the redraw path would go untested
         assert redrawing_streams(n, spec, 40) == [15, 35]
-    for plan in ALL_PLANS:
+    for plan in ALL_PLANS + (BootstrapPlan.mixed_wild(0.3),):
         rows = np.empty((b, n))
         _fill_rows(plan.multiplier, spec.child_rngs(b), rows)
         for r in range(b):
@@ -503,54 +458,6 @@ def test_wild_conditional_moment_match():
             ) / 4.0
             mc, se = bootstrap_moment_tensor_mc(data, plan, order, seed(30, order))
             assert np.all(np.abs(mc - target) <= 4.0 * se + 1e-12)
-
-
-def test_empirical_conditional_mean_is_zero():
-    # conditional mean of sum X*_i / sqrt(n) is exactly zero; the Monte Carlo
-    # average of the one-sided statistic on p=1 data estimates E* max = E* sum
-    values = np.array([[0.3], [1.1], [-0.7], [2.2], [0.5], [-1.4]])
-    data = DataMatrix(values)
-    b = 100_000
-    d = bootstrap_distribution(data, BootstrapPlan.empirical(b_reps=b), MaxMode.ONE_SIDED, seed(31))
-    xc = values - values.mean()
-    cond_sd = math.sqrt(float((xc**2).mean()))  # sd of one resampled point
-    assert d.sample.mean() == pytest.approx(0.0, abs=4 * cond_sd / math.sqrt(b))
-
-
-def test_mixed_conditional_gaussian_parameters():
-    # conditionally on the branch pattern and Mammen draws, the normalized
-    # sum is Gaussian with mean b0/sqrt(n) sum (1-d_i) w0_i X_i and
-    # per-coordinate variance a0^2/n sum d_i X_ij^2
-    rng = np.random.default_rng(4242)
-    n, p, p0 = 5, 2, 0.5
-    x = rng.standard_normal((n, p))
-    a0, b0 = mixed_coefficients(p0)
-    delta = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-    w0 = np.where(rng.random(n) < MAMMEN_PROB_PLUS, MAMMEN_VALUE_PLUS, MAMMEN_VALUE_MINUS)
-    mu_target = b0 / math.sqrt(n) * ((1 - delta) * w0) @ x
-    sd_target = np.sqrt(a0**2 / n * (delta[:, None] * x**2).sum(axis=0))
-
-    reps = 400_000
-    z = rng.standard_normal((reps, n))
-    w_star = a0 * delta * z + b0 * (1 - delta) * w0
-    z_star = w_star @ x / math.sqrt(n)
-    se_mean = sd_target / math.sqrt(reps)
-    np.testing.assert_array_less(np.abs(z_star.mean(axis=0) - mu_target), 4 * se_mean)
-    np.testing.assert_allclose(z_star.std(axis=0), sd_target, rtol=0.02)
-
-
-def test_forced_gaussian_branch_variance():
-    # with every branch indicator forced to one the statistic is exactly
-    # a0 * max of a Gaussian with covariance a0^2 X^T X / n
-    rng = np.random.default_rng(11)
-    n, p = 6, 3
-    x = rng.standard_normal((n, p))
-    a0, _ = mixed_coefficients(0.5)
-    reps = 200_000
-    z = rng.standard_normal((reps, n))
-    z_star = a0 * (z @ x) / math.sqrt(n)
-    target_var = a0**2 * (x**2).sum(axis=0) / n
-    np.testing.assert_allclose(z_star.var(axis=0), target_var, rtol=0.02)
 
 
 # ---------------------------------------------------------------------------
