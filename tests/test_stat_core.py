@@ -98,22 +98,41 @@ def test_smooth_max_no_overflow():
 
 
 def wide_inputs(rng, count, beta_max):
-    """count random (z, beta) with |z| up to 1e3 and beta from 0.01 to beta_max,
-    then the edge vectors (all zeros, +-1e3, a subnormal entry) at both ends of
-    beta; a smooth max or softmax without the max shift overflows on them."""
-    cases = [
+    """count random (z, beta) with |z| up to 1e3 and beta from 0.01 to beta_max."""
+    return [
         (rng.uniform(-1.0, 1.0, int(rng.integers(1, 50))) * 10.0 ** rng.uniform(-2, 3),
          10.0 ** rng.uniform(-2, math.log10(beta_max)))
         for _ in range(count)
     ]
-    edges = (np.zeros(4), np.array([1e3, -1e3]), np.array([-1e3, 5e-324, -1e3]))
-    return cases + [(z, beta) for z in edges for beta in (0.01, beta_max)]
+
+
+# a smooth max or softmax without the max shift overflows on these
+edge_vectors = pytest.mark.parametrize(
+    "z",
+    [np.zeros(4), np.array([1e3, -1e3]), np.array([-1e3, 5e-324, -1e3])],
+    ids=["zeros", "pm1e3", "subnormal"],
+)
+
+
+def assert_sandwich(z, beta):
+    fb = smooth_max(z, beta)
+    assert z.max() - 1e-12 <= fb <= z.max() + math.log(z.size) / beta + 1e-12
+
+
+def assert_partition_of_unity(w):
+    assert abs(w.sum() - 1.0) <= 1e-14
+    assert np.all(w >= 0.0)
 
 
 def test_smooth_max_sandwich_random(rng):
     for z, beta in wide_inputs(rng, 500, 100.0):
-        fb = smooth_max(z, beta)
-        assert z.max() - 1e-12 <= fb <= z.max() + math.log(z.size) / beta + 1e-12
+        assert_sandwich(z, beta)
+
+
+@edge_vectors
+@pytest.mark.parametrize("beta", [0.01, 100.0])
+def test_smooth_max_sandwich_edges(z, beta):
+    assert_sandwich(z, beta)
 
 
 def test_softmax_equal_entries():
@@ -135,9 +154,13 @@ def test_softmax_sums_to_one(rng):
         assert np.all(w > 0.0) and np.all(w < 1.0 + 1e-15)
     # wider scales, where weights underflow to 0
     for z, beta in wide_inputs(rng, 200, 10.0):
-        w = softmax_weights(z, beta)
-        assert abs(w.sum() - 1.0) <= 1e-14
-        assert np.all(w >= 0.0)
+        assert_partition_of_unity(softmax_weights(z, beta))
+
+
+@edge_vectors
+@pytest.mark.parametrize("beta", [0.01, 10.0])
+def test_softmax_sums_to_one_edges(z, beta):
+    assert_partition_of_unity(softmax_weights(z, beta))
 
 
 def test_softmax_is_gradient_of_smooth_max(rng):
