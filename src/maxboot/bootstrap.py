@@ -223,19 +223,18 @@ def _fill_rows(kind: MultiplierKind | None, walk: StreamWalk, out: np.ndarray) -
     are the multinomial counts of its resampled indices: summing the
     resampled centered rows is the same as weighting each row by its count.
 
-    Each stream makes one C-level fill into its row of out, and the law is
-    then applied to all k rows in place; the law's scratch arrays are (k, n)
+    Each stream only makes C-level fills into its row of each (k, n) tile,
+    and the law then maps all k rows at once; its scratch arrays are (k, n)
     too, so a caller that walks its streams in tiles never holds more than a
     tile.  Gaussian rows are ``standard_normal`` fills and Mammen rows
     threshold ``random`` fills.  The mixed law fills the branch uniforms, the
     Gaussian branch and the Mammen uniforms, in that order whatever the
-    branches turn out to be, and compares the Mammen uniforms with their
-    threshold row by row.  Rademacher signs and resample indices are numpy's
-    ``integers`` read from one ``random_raw`` fill (``_bounded_integers``): a
-    sign is the top bit of a 32-bit half, low half first, and an index is
-    ``(x * n) >> 32``.  The tests compare every scheme's rows with numpy's
-    per-row calls bit for bit, so a change to numpy's streams or maps fails
-    there.
+    branches turn out to be.  Rademacher signs and resample indices are
+    numpy's ``integers`` read from one ``random_raw`` fill
+    (``_bounded_integers``): a sign is the top bit of a 32-bit half, low half
+    first, and an index is ``(x * n) >> 32``.  The tests compare every
+    scheme's rows with numpy's per-row calls bit for bit, so a change to
+    numpy's streams or maps fails there.
     """
     k, n = out.shape
     if kind is None:
@@ -251,8 +250,9 @@ def _fill_rows(kind: MultiplierKind | None, walk: StreamWalk, out: np.ndarray) -
         for r, rng in enumerate(walk.take(k)):
             rng.standard_normal(out=out[r])
         return
-    # a two-value table lookup ("clip" skips the bounds check) is several
-    # times faster than a masked assignment, whose branch a random mask defeats
+    # the Mammen values are a two-value table lookup, here and in the mixed
+    # law ("clip" skips the bounds check): several times faster than a masked
+    # assignment, whose branch a random mask defeats
     if kind.name == "mammen":
         for r, rng in enumerate(walk.take(k)):
             rng.random(out=out[r])
@@ -261,14 +261,13 @@ def _fill_rows(kind: MultiplierKind | None, walk: StreamWalk, out: np.ndarray) -
         return
     # mixed: the branch uniform, the Gaussian branch, then the Mammen uniform
     a0, b0 = mixed_coefficients(kind.p0)
-    branch = np.empty((k, n))
-    uniform = np.empty(n)
-    plus = np.empty((k, n), dtype=bool)
+    branch, uniform = np.empty((2, k, n))
     for r, rng in enumerate(walk.take(k)):
         rng.random(out=branch[r])
         rng.standard_normal(out=out[r])
-        np.less(rng.random(out=uniform), MAMMEN_PROB_PLUS, out=plus[r])
+        rng.random(out=uniform[r])
     mammen = branch >= kind.p0
+    plus = uniform < MAMMEN_PROB_PLUS
     np.take(b0 * _MAMMEN_VALUES, plus.view(np.uint8), out=branch, mode="clip")
     out *= a0
     np.copyto(out, branch, where=mammen)

@@ -140,7 +140,7 @@ def test_criterion_02_ks_ordering_desk(desk_run):
 
 @pytest.mark.skipif(
     not os.environ.get("MAXBOOT_PAPER"),
-    reason="paper-scale run takes about 8 s on a 2-vCPU machine; set MAXBOOT_PAPER=1 to enable",
+    reason="paper-scale run takes 11-12 s on a 2-vCPU Intel Xeon; set MAXBOOT_PAPER=1 to enable",
 )
 def test_criterion_03_ks_values_full_scale():
     # reference mean KS for AR(1), rho=0.2, shape=1 at n=200, p=400

@@ -120,12 +120,14 @@ def test_replicate_rows_equal_numpy_per_row_draws(n, b):
     if n == 20001 and b > 40:
         # without rows that numpy redraws, the redraw path would go untested
         assert redrawing_streams(n, spec, 40) == [15, 35]
-    for plan in ALL_PLANS + (BootstrapPlan.mixed_wild(0.3),):
+    # at p0 0.01 and 0.99 a tile is almost all Mammen or almost all Gaussian
+    mixed = tuple(BootstrapPlan.mixed_wild(p0) for p0 in (0.01, 0.3, 0.99))
+    for plan in ALL_PLANS + mixed:
         rows = np.empty((b, n))
         _fill_rows(plan.multiplier, spec.child_rngs(b), rows)
         for r in range(b):
             expect = oracle_row(plan, n, spec.child(r).rng())
-            assert rows[r].tobytes() == expect.tobytes(), (plan.name, r)
+            assert rows[r].tobytes() == expect.tobytes(), (plan.multiplier, r)
 
 
 @pytest.mark.parametrize("plan", ALL_PLANS, ids=lambda plan: plan.name)
