@@ -321,6 +321,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
 def emit_results(rows: list[ResultRow], format: str, path: str | None) -> None:
     """Write aggregated rows as CSV or JSON (floats at 6 significant digits).
 
@@ -332,20 +338,15 @@ def emit_results(rows: list[ResultRow], format: str, path: str | None) -> None:
     if format not in FORMATS:
         raise ValueError(f"format must be {' or '.join(map(repr, FORMATS))}, got {format!r}")
     ordered = sorted(rows, key=_row_order)
-    buf = io.StringIO()
     if format == "csv":
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(field.name for field in fields(ResultRow))
-        for row in ordered:
-            writer.writerow(_fmt(v) for v in astuple(row))
+        text = _csv_text([field.name for field in fields(ResultRow)], [map(_fmt, astuple(row)) for row in ordered])
     else:
         payload = [
             {c: float(_fmt(v)) if isinstance(v, float) else v for c, v in asdict(row).items()}
             for row in ordered
         ]
-        json.dump(payload, buf, indent=2)
-        buf.write("\n")
-    _write_text(buf.getvalue(), path)
+        text = json.dumps(payload, indent=2) + "\n"
+    _write_text(text, path)
 
 
 def emit_figure_data(per_rep_values: dict[str, np.ndarray], path: str | None) -> None:
@@ -356,13 +357,9 @@ def emit_figure_data(per_rep_values: dict[str, np.ndarray], path: str | None) ->
     """
     if not per_rep_values:
         raise ValueError("per_rep_values must be nonempty")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scheme", "rep", "value"])
-    for scheme in sorted(per_rep_values):
-        for rep, value in enumerate(per_rep_values[scheme]):
-            writer.writerow([scheme, rep, repr(float(value))])
-    _write_text(buf.getvalue(), path)
+    rows = [[scheme, rep, repr(float(value))] for scheme in sorted(per_rep_values)
+            for rep, value in enumerate(per_rep_values[scheme])]
+    _write_text(_csv_text(["scheme", "rep", "value"], rows), path)
 
 
 def check_destinations(out: str | None, figure_data: str | None) -> None:

@@ -21,6 +21,7 @@ from maxboot.bootstrap import (
     _rejected_rows,
     bootstrap_distribution,
     bootstrap_stat_once,
+    draw_multipliers,
     mixed_coefficients,
     mixed_multiplier,
     multiplier_moment,
@@ -492,6 +493,9 @@ test_rejects_bad_input = rejection_table(
     (lambda: MultiplierKind("gaussian", p0=0.5), ValueError, "p0 only applies to the mixed law, not 'gaussian'"),
     (lambda: BootstrapPlan.mixed_wild(p0=0.0), ValueError, "mixed multiplier requires p0 in (0, 1)"),
     (lambda: BootstrapPlan.empirical(b_reps=0), ValueError, "b_reps must be at least 1"),
+    (lambda: mixed_coefficients(1.5), ValueError, "p0 must lie in (0, 1)"),
+    (lambda: multiplier_moment(GAUSSIAN, 5), ValueError, "order must be 1, 2, 3 or 4"),
+    (lambda: draw_multipliers(GAUSSIAN, 0, seed(29)), ValueError, "n must be at least 1"),
     (lambda: bootstrap_stat_once(DataMatrix(np.ones((1, 3))), BootstrapPlan.empirical(), MaxMode.ONE_SIDED, seed(27)),
      ValueError, "bootstrap requires at least two rows"),
     (lambda: BootstrapPlan.parse("g:0.3", 7), ValueError, BAD_SCHEME.format("g:0.3")),

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxboot import harness
+from maxboot import harness, theorycheck
 from maxboot.bootstrap import SCHEME_TOKENS, BootstrapPlan, MultiplierKind
 from maxboot.cli import _RUN_KEYS, build_config, main
 from maxboot.datagen import Dependence
@@ -239,6 +239,18 @@ def test_config_file_out_and_figure_data_naming_one_file_fail_at_the_second(tmp_
     # a flag does not rescue the file, as a later line does not rescue a bad one
     assert main(["run", "--config", str(cfg), "--figure-data", "other.csv"]) == 1
     assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [(lambda path: None, "[Errno 2] No such file or directory"), (Path.mkdir, "[Errno 21] Is a directory")],
+    ids=["missing", "directory"],
+)
+def test_unreadable_config_file_fails_before_the_run(tmp_path, capsys, no_run, make, reason):
+    cfg = tmp_path / "run.cfg"
+    make(cfg)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot read config file {str(cfg)!r}: {reason}: {str(cfg)!r}\n")
 
 
 def test_config_file_with_a_byte_order_mark(tmp_path):
@@ -580,6 +592,17 @@ def test_check_suite_all_is_every_suite_in_order(capsys):
         assert main(["check", "--suite", suite, *flags]) == 0
         outputs[suite] = capsys.readouterr().out
     assert outputs.pop("all") == "".join(outputs.values())
+
+
+def test_a_failed_check_exits_2_after_every_report(capsys, monkeypatch):
+    def failed(trials, seed):
+        return theorycheck.CheckReport("softmax_stability", False, 1.0, trials, "")
+
+    monkeypatch.setattr(theorycheck, "check_softmax_stability", failed)
+    assert main(["check", "--suite", "smoothmax", "--trials", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "1 check(s) failed\n"
+    assert [json.loads(line)["passed"] for line in out.splitlines()] == [True, True, False]
 
 
 def test_check_smoothmax_suite_quick(capsys):

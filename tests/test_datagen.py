@@ -192,13 +192,6 @@ def test_skewness_matches_two_over_sqrt_alpha():
     assert skew(v) == pytest.approx(2.0 / math.sqrt(alpha), abs=3.0 * block_se)
 
 
-def test_bit_identical_reproduction():
-    spec = CopulaSpec(Dependence.AR1, 0.5, 2.0)
-    a = sample_gaussian_copula(spec, 64, 16, SeedSpec(5).child(9))
-    b = sample_gaussian_copula(spec, 64, 16, SeedSpec(5).child(9))
-    assert np.array_equal(a.values, b.values)
-
-
 def test_bit_identical_under_thread_concurrency():
     from concurrent.futures import ThreadPoolExecutor
 
@@ -383,4 +376,7 @@ test_rejects_bad_input = rejection_table(
     (lambda: DataMatrix(np.array([[np.nan]])), ValueError, "data entries must be finite"),
     (lambda: DataMatrix(np.empty((0, 3))), ValueError, "values must be a nonempty 2-d array"),
     (lambda: DataMatrix(np.ones((3, 2)), known_mean=np.ones(5)), ValueError, "known_mean must have length p"),
+    (lambda: DataMatrix(np.ones((2, 2)), known_mean=[np.nan, 0.0]), ValueError, "known_mean entries must be finite"),
+    (lambda: sample_gaussian_copula(CopulaSpec(Dependence.AR1, 0.2, 1.0), 0, 3, SeedSpec(1)), ValueError,
+     "n and p must be at least 1"),
 )

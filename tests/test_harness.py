@@ -27,7 +27,7 @@ from maxboot.harness import (
     run_experiment,
     run_truth,
 )
-from maxboot.stat_core import EmpiricalDistribution, MaxMode, two_sample_ks
+from maxboot.stat_core import MaxMode
 
 from conftest import rejection_table
 
@@ -115,83 +115,51 @@ def test_truth_law_at_rho_zero_is_the_exact_law_at_paper_size(structure, shape, 
 # ---------------------------------------------------------------------------
 
 
-def test_run_experiment_row_layout():
-    cfg = tiny_config()
+def same_result(a, b):
+    """Assert that two run results are equal: the same rows, and in both
+    per-replicate maps the same schemes in the same order, with the same bytes."""
+    assert a.rows == b.rows
+    for field in ("per_rep_ks", "per_rep_cover"):
+        got, want = getattr(a, field), getattr(b, field)
+        assert [(k, v.tobytes()) for k, v in got.items()] == [(k, v.tobytes()) for k, v in want.items()]
+
+
+@pytest.mark.parametrize("mode", list(MaxMode))
+def test_rows_aggregate_the_per_replicate_arrays(mode):
+    cfg = tiny_config(mode=mode)
     result = run_experiment(cfg)
-    assert len(result.rows) == 2 * len(cfg.schemes)
-    keys = [(r.scheme, r.metric) for r in result.rows]
-    assert keys == sorted(keys)
+    keys = [(row.scheme, row.metric) for row in result.rows]
+    assert keys == [("empirical", "Coverage"), ("empirical", "KS"), ("gaussian", "Coverage"), ("gaussian", "KS")]
     for row in result.rows:
-        assert row.experiment == "II"
-        assert row.reps == cfg.outer_reps
-        assert 0.0 <= row.mean <= 1.0 or row.metric == "KS"
-
-
-def test_ks_rows_in_unit_interval_and_aggregation_identity():
-    result = run_experiment(tiny_config())
-    for row in result.rows:
-        if row.metric == "KS":
-            per_rep = result.per_rep_ks[row.scheme]
-            assert row.mean == pytest.approx(per_rep.mean(), abs=1e-12)
-            assert 0.0 <= row.mean <= 1.0
-        else:
-            per_rep = result.per_rep_cover[row.scheme]
-            assert row.mean == pytest.approx(per_rep.mean(), abs=1e-12)
-
-
-def test_coverage_is_multiple_of_one_over_outer():
-    cfg = tiny_config()
-    result = run_experiment(cfg)
-    for row in result.rows:
-        if row.metric == "Coverage":
-            assert (row.mean * cfg.outer_reps) == pytest.approx(
-                round(row.mean * cfg.outer_reps), abs=1e-9
-            )
+        assert (row.experiment, row.reps) == ("II", cfg.outer_reps)
+        values = (result.per_rep_ks if row.metric == "KS" else result.per_rep_cover)[row.scheme]
+        assert (row.mean, row.std) == (values.mean(), values.std(ddof=1))
+    for ks, cover in zip(result.per_rep_ks.values(), result.per_rep_cover.values()):
+        assert 0.0 <= ks.min() and ks.max() <= 1.0
+        assert set(cover.tolist()) <= {0.0, 1.0}
 
 
 def test_parallel_results_identical():
     # at three jobs this process runs a third of the blocks, at two and four
-    # a half and a quarter
-    cfg = tiny_config(outer_reps=10)
-    a = run_experiment(cfg, jobs=1)
+    # a half and a quarter; 40 replicates put two or three in each block
+    cfg = tiny_config(outer_reps=40)
+    serial = run_experiment(cfg, jobs=1)
     for jobs in (2, 3, 4):
-        b = run_experiment(cfg, jobs=jobs)
-        assert a.rows == b.rows
-        for scheme in a.per_rep_ks:
-            assert b.per_rep_ks[scheme].tobytes() == a.per_rep_ks[scheme].tobytes()
-            assert b.per_rep_cover[scheme].tobytes() == a.per_rep_cover[scheme].tobytes()
+        same_result(run_experiment(cfg, jobs=jobs), serial)
 
 
-def test_degenerate_truth_ks_exact():
-    # a one-point truth law against a bootstrap law is the largest CDF gap,
-    # computable by hand from the step functions
-    truth = EmpiricalDistribution(np.array([0.0]))
-    law = EmpiricalDistribution(np.array([-1.0, 1.0, 2.0, 3.0]))
-    assert two_sample_ks(truth, law) == 0.75
-
-
-def test_mode_absolute_runs():
-    result = run_experiment(tiny_config(mode=MaxMode.ABSOLUTE, outer_reps=3))
-    assert all(row.mean >= 0.0 for row in result.rows)
-
-
-def test_interrupt_flushes_completed_replicates(tmp_path, interrupt_block, caplog):
-    clean = tmp_path / "clean.csv"
-    emit_results(run_experiment(tiny_config(outer_reps=2)).rows, "csv", str(clean))
-
+def test_interrupt_flushes_completed_replicates(interrupt_block, caplog):
+    clean = run_experiment(tiny_config(outer_reps=2))
     # 16 outer replicates at one job run as eight blocks of two; the second
     # block is interrupted, so the flush holds exactly replicates 0 and 1
     interrupt_block("_outer_block")
-    flushed = tmp_path / "partial.csv"
+    flushed = []
     with caplog.at_level("WARNING", logger="maxboot.harness"):
         with pytest.raises(KeyboardInterrupt):
-            run_experiment(
-                tiny_config(outer_reps=16),
-                jobs=1,
-                on_interrupt=lambda result: emit_results(result.rows, "csv", str(flushed)),
-            )
+            run_experiment(tiny_config(outer_reps=16), jobs=1, on_interrupt=flushed.append)
     assert any("interrupted" in rec.message for rec in caplog.records)
-    assert flushed.read_bytes() == clean.read_bytes()
+    (partial,) = flushed
+    same_result(partial, clean)
 
 
 def test_interrupt_in_the_truth_phase_flushes_nothing(interrupt_block):
@@ -298,11 +266,8 @@ def test_interrupt_in_a_block_this_process_runs(monkeypatch):
     assert multiprocessing.active_children() == []
 
     monkeypatch.setattr(harness, "_outer_block", block)
-    clean = run_experiment(tiny_config(outer_reps=2))
-    assert len(flushed) == 1
-    assert flushed[0].rows == clean.rows
-    for scheme, values in clean.per_rep_ks.items():
-        assert flushed[0].per_rep_ks[scheme].tobytes() == values.tobytes()
+    (partial,) = flushed
+    same_result(partial, run_experiment(tiny_config(outer_reps=2)))
 
 
 @forks_workers
@@ -386,7 +351,7 @@ def test_no_more_processes_than_the_larger_phase_has_replicates(monkeypatch):
     cfg = tiny_config(outer_reps=1, truth_reps=2)
     serial = run_experiment(cfg, jobs=1)
     started = count_workers(monkeypatch)
-    assert run_experiment(cfg, jobs=4).rows == serial.rows
+    same_result(run_experiment(cfg, jobs=4), serial)
     assert len(started) == 1
     run_truth(tiny_config(truth_reps=1), jobs=4)
     assert len(started) == 1
@@ -431,10 +396,7 @@ def test_rows_are_byte_identical_under_every_start_method(monkeypatch, method):
     started = count_workers(monkeypatch, lambda asked: method)
     parallel = run_experiment(cfg, jobs=2)
     assert started == [method]
-    assert parallel.rows == serial.rows
-    assert parallel.per_rep_ks.keys() == serial.per_rep_ks.keys()
-    for name, values in serial.per_rep_ks.items():
-        assert parallel.per_rep_ks[name].tobytes() == values.tobytes()
+    same_result(parallel, serial)
 
 
 # ---------------------------------------------------------------------------
@@ -447,54 +409,22 @@ def rows_fixture():
         ResultRow("II", 0.2, 1.0, "mammen", "KS", 0.0467712, 0.0162234, 500),
         ResultRow("II", 0.2, 1.0, "mammen", "Coverage", 0.9545, 0.00955, 500),
         ResultRow("I", 0.8, 3.0, "gaussian", "KS", 0.04910, 0.01610, 500),
+        ResultRow("II", 0.2, 1.0, "x", "KS", 1 / 3, 2 / 3, 10),
     ]
 
 
 def test_emit_results_csv_layout(tmp_path):
+    # ordered by experiment, then scheme, then metric; floats at six
+    # significant digits
     path = tmp_path / "rows.csv"
     emit_results(rows_fixture(), "csv", str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "experiment,rho,shape_alpha,scheme,metric,mean,std,reps"
-    assert len(lines) == 4
-    # deterministic order: experiment, then scheme, then metric
-    assert lines[1].startswith("I,")
-    assert lines[2].split(",")[4] == "Coverage"
-    assert lines[3].split(",")[4] == "KS"
-
-
-def test_emit_results_round_trip(tmp_path):
-    path = tmp_path / "rows.csv"
-    rows = rows_fixture()
-    emit_results(rows, "csv", str(path))
-    with open(path) as handle:
-        parsed = list(csv.DictReader(handle))
-    by_key = {(r["scheme"], r["metric"]): r for r in parsed}
-    for row in rows:
-        got = by_key[(row.scheme, row.metric)]
-        assert got["experiment"] == row.experiment
-        assert float(got["mean"]) == pytest.approx(row.mean, rel=1e-5)
-        assert float(got["std"]) == pytest.approx(row.std, rel=1e-5)
-        assert int(got["reps"]) == row.reps
-
-
-def test_emit_results_json_round_trip(tmp_path):
-    path = tmp_path / "rows.json"
-    emit_results(rows_fixture(), "json", str(path))
-    parsed = json.loads(path.read_text())
-    assert isinstance(parsed, list) and len(parsed) == 3
-    assert set(parsed[0]) == {
-        "experiment", "rho", "shape_alpha", "scheme", "metric", "mean", "std", "reps",
-    }
-    mammen_ks = [r for r in parsed if r["scheme"] == "mammen" and r["metric"] == "KS"][0]
-    assert mammen_ks["mean"] == pytest.approx(0.0467712, rel=1e-5)
-
-
-def test_emit_results_six_significant_digits(tmp_path):
-    path = tmp_path / "rows.csv"
-    emit_results([ResultRow("II", 0.2, 1.0, "x", "KS", 1 / 3, 2 / 3, 10)], "csv", str(path))
-    fields = path.read_text().splitlines()[1].split(",")
-    assert fields[5] == "0.333333"
-    assert fields[6] == "0.666667"
+    assert path.read_text() == (
+        "experiment,rho,shape_alpha,scheme,metric,mean,std,reps\n"
+        "I,0.8,3,gaussian,KS,0.0491,0.0161,500\n"
+        "II,0.2,1,mammen,Coverage,0.9545,0.00955,500\n"
+        "II,0.2,1,mammen,KS,0.0467712,0.0162234,500\n"
+        "II,0.2,1,x,KS,0.333333,0.666667,10\n"
+    )
 
 
 def test_emit_figure_data(tmp_path):
