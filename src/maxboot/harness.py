@@ -375,7 +375,8 @@ def check_destinations(out: str | None, figure_data: str | None) -> None:
     for path in files:
         if os.path.isdir(path):
             raise ValueError(f"cannot write results to {path!r}: it is a directory")
-        directory = os.path.dirname(path) or "."
+        # a symlink writes through to its target, so the target's directory must exist
+        directory = os.path.dirname(os.path.realpath(path) if os.path.islink(path) else path) or "."
         if not os.path.isdir(directory):
             raise ValueError(f"cannot write results to {path!r}: directory {directory!r} does not exist")
         if os.path.exists(path):

@@ -427,16 +427,6 @@ def test_emit_results_csv_layout(tmp_path):
     )
 
 
-def test_emit_figure_data(tmp_path):
-    path = tmp_path / "fig.csv"
-    values = {"mammen": np.array([0.1, 0.2, 0.3]), "gaussian": np.array([0.4, 0.5, 0.6])}
-    emit_figure_data(values, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "scheme,rep,value"
-    assert len(lines) == 7
-    assert lines[1].startswith("gaussian,0,")
-
-
 def test_figure_data_preserves_exact_means(tmp_path):
     cfg = tiny_config()
     result = run_experiment(cfg)
