@@ -379,7 +379,8 @@ def check_destinations(out: str | None, figure_data: str | None) -> None:
         directory = os.path.dirname(os.path.realpath(path) if os.path.islink(path) else path) or "."
         if not os.path.isdir(directory):
             raise ValueError(f"cannot write results to {path!r}: directory {directory!r} does not exist")
-        if os.path.exists(path):
+        # a symlink loop resolves to a link, and os.access refuses it
+        if os.path.exists(path) or os.path.islink(os.path.realpath(path)):
             if not os.access(path, os.W_OK):
                 raise ValueError(f"cannot write results to {path!r}: it is not writable")
         elif not os.access(directory, os.W_OK | os.X_OK):

@@ -247,6 +247,12 @@ def bad_output(tmp_path, monkeypatch, case):
     if case == "dangling-link":
         path.symlink_to(tmp_path / "missing" / "rows.csv")
         return path, f"directory {str(tmp_path.resolve() / 'missing')!r} does not exist"
+    if case == "link-to-directory":
+        path.symlink_to(tmp_path)
+        return path, "it is a directory"
+    if case == "symlink-loop":
+        path.symlink_to(path)
+        return path, "it is not writable"
     # the tests may run as root, which no file mode stops, so os.access
     # denies writing to the file when it exists and to its directory when not
     exists = case == "unwritable-existing-file"
@@ -259,7 +265,9 @@ def bad_output(tmp_path, monkeypatch, case):
 
 
 @pytest.mark.parametrize(
-    "case", ["missing-directory", "directory", "unwritable-new-file", "unwritable-existing-file", "dangling-link"]
+    "case",
+    ["missing-directory", "directory", "unwritable-new-file", "unwritable-existing-file", "dangling-link",
+     "link-to-directory", "symlink-loop"],
 )
 @pytest.mark.parametrize("flag, other", [("--out", "--figure-data"), ("--figure-data", "--out")])
 def test_bad_output_path_fails_before_the_run(tmp_path, capsys, monkeypatch, no_run, flag, other, case):
@@ -274,7 +282,7 @@ def test_bad_output_path_fails_before_the_run(tmp_path, capsys, monkeypatch, no_
 
 
 @pytest.mark.parametrize("exists", [False, True], ids=["new-file", "existing-file"])
-@pytest.mark.parametrize("spelling", ["x.csv", "./x.csv", "absolute"])
+@pytest.mark.parametrize("spelling", ["x.csv", "./x.csv", "absolute", "link.csv"])
 def test_out_and_figure_data_naming_one_file_fail_before_the_run(
     tmp_path, capsys, monkeypatch, no_run, spelling, exists
 ):
@@ -283,6 +291,8 @@ def test_out_and_figure_data_naming_one_file_fail_before_the_run(
     monkeypatch.chdir(tmp_path)
     if exists:
         (tmp_path / "x.csv").write_text("old\n")
+    if spelling == "link.csv":
+        Path(spelling).symlink_to("x.csv")
     before = tree(tmp_path)
     figure = str(tmp_path / "x.csv") if spelling == "absolute" else spelling
     assert main(["run", "--out", "x.csv", "--figure-data", figure]) == 1

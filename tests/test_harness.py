@@ -442,6 +442,23 @@ def test_figure_data_preserves_exact_means(tmp_path):
         assert np.mean(col) == pytest.approx(row.mean, abs=1e-12)
 
 
+@pytest.mark.parametrize("target_exists", [True, False], ids=["live-link", "dangling-link"])
+@pytest.mark.parametrize("slot", ["out", "figure_data"])
+def test_an_output_link_into_an_existing_directory_writes_its_target(tmp_path, slot, target_exists):
+    # the link is a usable destination: the check passes it, and the write
+    # goes through to the target while the link stays a link
+    target, link, plain = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "plain.csv"
+    if target_exists:
+        target.write_text("old\n")
+    link.symlink_to(target)
+    harness.check_destinations(**{"out": None, "figure_data": None, slot: str(link)})
+    values = {"gaussian": np.array([0.25, 0.5])}
+    emit_figure_data(values, str(link))
+    emit_figure_data(values, str(plain))
+    assert os.readlink(link) == str(target)
+    assert target.read_bytes() == plain.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # perfbench's traced cell
 # ---------------------------------------------------------------------------
