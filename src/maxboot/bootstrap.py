@@ -175,45 +175,6 @@ class BootstrapPlan:
         return cls(multiplier, b_reps)
 
 
-def _rejected_rows(halves: np.ndarray, k: int) -> np.ndarray:
-    """The rows of the (b, n) uint32 draws ``halves`` in which numpy's
-    ``integers(0, k)`` rejects a draw x and draws again: Lemire's rule,
-    ``(x * k) mod 2**32 < 2**32 mod k``.  Where 2**32 mod k is not 0, it
-    overwrites halves with ``(x * k) mod 2**32``."""
-    threshold = (1 << 32) % k
-    if not threshold:
-        return np.empty(0, dtype=np.intp)
-    np.multiply(halves, np.uint32(k), out=halves)
-    return np.flatnonzero(halves.min(axis=1) < threshold)
-
-
-def _bounded_integers(k: int, n: int, walk: StreamWalk, b: int) -> np.ndarray:
-    """Row r holds ``rng.integers(0, k, n)`` of stream r of the next b of the
-    walk, 2 <= k < 2**31.
-
-    Each stream makes one ``random_raw`` fill of ceil(n/2) 64-bit words.  For
-    a range below 2**32, numpy draws each integer from one 32-bit half of a
-    raw word, low half first, and maps the half x to ``(x * k) >> 32``
-    (Lemire's multiply-shift).  The rows where numpy would reject a half and
-    draw again (``_rejected_rows``) are found once the tile is filled, and each
-    is drawn by ``integers`` itself from a new generator at the start of its
-    stream.  The streams must start with no buffered 32-bit half, as a fresh
-    generator does.
-    """
-    words = np.empty((b, (n + 1) // 2), dtype="<u8")
-    # a little-endian view splits each word into (low, high) on any host
-    halves = words.view("<u4")[:, :n]
-    first = walk.taken
-    for r, rng in enumerate(walk.take(b)):
-        words[r] = rng.bit_generator.random_raw(words.shape[1])
-    index = halves.astype(np.int64)
-    index *= k
-    index >>= 32
-    for r in _rejected_rows(halves, k):
-        index[r] = walk.restart(first + r).integers(0, k, n)
-    return index
-
-
 def _fill_rows(kind: MultiplierKind | None, walk: StreamWalk, out: np.ndarray) -> None:
     """Fill the (k, n) array out with the weight rows of law ``kind`` (None
     for the empirical bootstrap), one row from each of the next k streams of
@@ -230,21 +191,20 @@ def _fill_rows(kind: MultiplierKind | None, walk: StreamWalk, out: np.ndarray) -
     threshold ``random`` fills.  The mixed law fills the branch uniforms, the
     Gaussian branch and the Mammen uniforms, in that order whatever the
     branches turn out to be.  Rademacher signs and resample indices are
-    numpy's ``integers`` read from one ``random_raw`` fill
-    (``_bounded_integers``): a sign is the top bit of a 32-bit half, low half
-    first, and an index is ``(x * n) >> 32``.  The tests compare every
-    scheme's rows with numpy's per-row calls bit for bit, so a change to
-    numpy's streams or maps fails there.
+    numpy's ``integers(0, 2, n)`` and ``integers(0, n, n)``, from the walk's
+    ``integers``, and only mapped here.  The tests compare every scheme's
+    rows with numpy's per-row calls bit for bit, so a change to numpy's
+    streams or maps fails there.
     """
     k, n = out.shape
     if kind is None:
         # row r counts how often each of the n rows occurs in resample r
-        index = _bounded_integers(n, n, walk, k)
+        index = walk.integers(n, n, k)
         index += np.arange(0, k * n, n)[:, None]
         out[...] = np.bincount(index.ravel(), minlength=k * n).reshape(k, n)
         return
     if kind.name == "rademacher":
-        np.take(_SIGNS, _bounded_integers(2, n, walk, k), out=out, mode="clip")
+        np.take(_SIGNS, walk.integers(2, n, k), out=out, mode="clip")
         return
     if kind.name == "gaussian":
         for r, rng in enumerate(walk.take(k)):

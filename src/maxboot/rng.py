@@ -202,14 +202,25 @@ def _seated(batches: Iterator[np.ndarray]) -> Iterator[np.random.Generator]:
                 yield gen
 
 
+def _rejected_rows(halves: np.ndarray, k: int) -> np.ndarray:
+    """The rows of the (b, n) uint32 draws ``halves`` in which numpy's
+    ``integers(0, k)`` rejects a draw x and draws again: Lemire's rule,
+    ``(x * k) mod 2**32 < 2**32 mod k``.  Where 2**32 mod k is not 0, it
+    overwrites halves with ``(x * k) mod 2**32``."""
+    threshold = (1 << 32) % k
+    if not threshold:
+        return np.empty(0, dtype=np.intp)
+    np.multiply(halves, np.uint32(k), out=halves)
+    return np.flatnonzero(halves.min(axis=1) < threshold)
+
+
 class StreamWalk:
     """Streams 0, 1, 2, ... of a walk, served in order as one reused generator.
 
     Streams leave a walk only through ``take(k)``, and each step of it seats
-    the generator at the start of the next stream; draw from it before
-    taking the next.  ``taken`` counts the streams served so far, and
-    ``restart(i)`` gives a new generator at the start of stream i, whatever
-    the reused one has drawn since.
+    the generator at the start of the next stream, with no buffered 32-bit
+    half; draw from it before taking the next.  ``integers`` takes streams
+    the same way, one row each.  ``taken`` counts the streams served so far.
     """
 
     def __init__(self, seated: Iterator[np.random.Generator], spec_of: Callable[[int], "SeedSpec"], count: int) -> None:
@@ -225,8 +236,30 @@ class StreamWalk:
         self.taken += k
         return served
 
-    def restart(self, i: int) -> np.random.Generator:
-        return self._spec_of(i).rng()
+    def integers(self, k: int, n: int, b: int) -> np.ndarray:
+        """Row r holds ``rng.integers(0, k, n)`` of stream r of the next b,
+        2 <= k < 2**31.
+
+        Each stream makes one ``random_raw`` fill of ceil(n/2) 64-bit words.
+        For a range below 2**32, numpy draws each integer from one 32-bit half
+        of a raw word, low half first, and maps the half x to ``(x * k) >> 32``
+        (Lemire 2019, "Fast random integer generation in an interval").  The
+        rows where numpy would reject a half and draw again (``_rejected_rows``)
+        are found once all b are filled, and each is drawn again by numpy's
+        ``integers``, from a new generator at the start of its stream.
+        """
+        words = np.empty((b, (n + 1) // 2), dtype="<u8")
+        # a little-endian view splits each word into (low, high) on any host
+        halves = words.view("<u4")[:, :n]
+        first = self.taken
+        for r, rng in enumerate(self.take(b)):
+            words[r] = rng.bit_generator.random_raw(words.shape[1])
+        index = halves.astype(np.int64)
+        index *= k
+        index >>= 32
+        for r in _rejected_rows(halves, k):
+            index[r] = self._spec_of(first + r).rng().integers(0, k, n)
+        return index
 
 
 @dataclass(frozen=True)

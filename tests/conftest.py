@@ -23,6 +23,19 @@ def seating(request, monkeypatch):
     return request.param
 
 
+def redrawing_streams(n: int, spec: SeedSpec, b: int) -> list[int]:
+    """Which of the streams spec.child(0..b-1) make numpy's integers(0, n, n)
+    reject a 32-bit draw: Lemire's rule on the halves of the raw words, low
+    half first, split arithmetically."""
+    rows = []
+    for r in range(b):
+        words = spec.child(r).rng().bit_generator.random_raw((n + 1) // 2)
+        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()[:n]
+        if np.any((halves * np.uint64(n)) & 0xFFFFFFFF < (1 << 32) % n):
+            rows.append(r)
+    return rows
+
+
 @pytest.fixture
 def interrupt_block(monkeypatch):
     """``interrupt_block(name)`` patches ``harness.<name>`` so that its second

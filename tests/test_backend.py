@@ -60,8 +60,9 @@ def test_count_rows_match_gather_sum_oracle(rng):
 
 def test_numpy_single_row_matches_batch(rng):
     # a replicate's value must not depend on which batch it is computed in;
-    # 200 x 100 and 57 x 33 are shapes where an unpinned GEMM broke this
-    for n, p in ((20, 6), (200, 100), (57, 33)):
+    # 200 x 100 and 57 x 33 are shapes where an unpinned GEMM broke this, and
+    # at n 20001 OpenBLAS splits the inner dimension into several panels
+    for n, p in ((20, 6), (200, 100), (57, 33), (20001, 3)):
         b = 70
         xc = rng.standard_normal((n, p))
         w = rng.standard_normal((b, n))

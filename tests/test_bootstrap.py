@@ -18,7 +18,6 @@ from maxboot.bootstrap import (
     BootstrapPlan,
     MultiplierKind,
     _fill_rows,
-    _rejected_rows,
     bootstrap_distribution,
     bootstrap_stat_once,
     draw_multipliers,
@@ -31,7 +30,7 @@ from maxboot.datagen import Centering, DataMatrix
 from maxboot.rng import SeedSpec
 from maxboot.stat_core import EmpiricalDistribution, MaxMode
 
-from conftest import oracle_row, rejection_table, seed
+from conftest import oracle_row, redrawing_streams, rejection_table, seed
 
 ALL_PLANS = (
     BootstrapPlan.wild(GAUSSIAN),
@@ -101,26 +100,11 @@ def test_multiplier_fourth_moments():
 # ---------------------------------------------------------------------------
 
 
-def redrawing_streams(n: int, spec: SeedSpec, b: int) -> list[int]:
-    """Which of the streams spec.child(0..b-1) make numpy's integers(0, n, n)
-    reject a 32-bit draw: Lemire's rule on the halves of the raw words, low
-    half first, split arithmetically."""
-    rows = []
-    for r in range(b):
-        words = spec.child(r).rng().bit_generator.random_raw((n + 1) // 2)
-        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()[:n]
-        if np.any((halves * np.uint64(n)) & 0xFFFFFFFF < (1 << 32) % n):
-            rows.append(r)
-    return rows
-
-
-@pytest.mark.parametrize("b", [1, 65, 300])
-@pytest.mark.parametrize("n", [2, 3, 57, 200, 20001])
+# n 20001 keeps one row: at b 65 and 300 it only reached numpy's redraw,
+# which test_rng.py's draw-level test of StreamWalk.integers restates
+@pytest.mark.parametrize("n, b", [(n, b) for b in (1, 65, 300) for n in (2, 3, 57, 200)] + [(20001, 1)])
 def test_replicate_rows_equal_numpy_per_row_draws(n, b):
     spec = SeedSpec(7).child(2, n)
-    if n == 20001 and b > 40:
-        # without rows that numpy redraws, the redraw path would go untested
-        assert redrawing_streams(n, spec, 40) == [15, 35]
     # at p0 0.01 and 0.99 a tile is almost all Mammen or almost all Gaussian
     mixed = tuple(BootstrapPlan.mixed_wild(p0) for p0 in (0.01, 0.3, 0.99))
     for plan in ALL_PLANS + mixed:
@@ -136,7 +120,7 @@ def test_replicate_rows_equal_numpy_per_row_draws(n, b):
 def test_fill_rows_takes_exactly_one_stream_per_row(plan, n):
     # k rows take streams 0 to k-1 of the walk and leave stream k untaken,
     # also when the mixed law draws three times from each, and when
-    # _bounded_integers redraws a stream from a new generator
+    # StreamWalk.integers redraws a stream from a new generator
     spec = SeedSpec(7).child(2, n)
     if n == 20001:
         # streams 15 and 35 redraw; 35 ends the second fill
@@ -153,28 +137,6 @@ def test_fill_rows_takes_exactly_one_stream_per_row(plan, n):
         (after,) = rngs.take(1)
         assert after.bit_generator.state == spec.child(taken).rng().bit_generator.state
         taken += 1
-
-
-def test_rejected_rows_exactly_below_the_threshold():
-    # rows of halves 5, x, 9, where (x * k) mod 2**32 is one below the
-    # threshold 2**32 mod k, and then the threshold itself
-    k = 20001
-    threshold = (1 << 32) % k
-    x = [low * pow(k, -1, 1 << 32) % (1 << 32) for low in (threshold - 1, threshold)]
-    halves = np.array([[5, x[0], 9], [5, x[1], 9]], dtype=np.uint32)
-    assert _rejected_rows(halves.copy(), k).tolist() == [0]
-    # 2**32 mod k is 0 for a power of two: nothing is ever rejected
-    assert _rejected_rows(halves.copy(), 2).tolist() == []
-
-
-def test_rejected_rows_match_python_ints():
-    # 2**32 mod k is about a third of 2**32, so about a third of the draws
-    # are rejected and most rows hold one
-    k = (1 << 32) // 3 + 1
-    halves = np.random.default_rng(3).integers(0, 1 << 32, (50, 3), dtype=np.uint32)
-    want = [r for r, row in enumerate(halves.tolist()) if any(x * k % (1 << 32) < (1 << 32) % k for x in row)]
-    assert 0 < len(want) < 50
-    assert _rejected_rows(halves.copy(), k).tolist() == want
 
 
 # walks of 128 streams at n 20001, where numpy rejects a draw in these rows
@@ -345,15 +307,12 @@ def test_b_reps_one_matches_stat_once_substream():
 
 @pytest.mark.parametrize(
     "n, p, b, thread_control",
-    [(57, 33, b, True) for b in (1, 63, 64, 65, 130)] + [(57, 33, 130, False), (20001, 3, 65, True)],
+    [(57, 33, b, True) for b in (1, 63, 64, 65, 130)] + [(57, 33, 130, False)],
 )
 def test_every_replicate_at_tile_boundaries_matches_stat_once(n, p, b, thread_control, monkeypatch):
     # replicate r of the tiled walk, read before the law sorts it, against
     # replicate r drawn and reduced alone
     spec = SeedSpec(7).child(2, n)
-    if n == 20001:
-        # a stream that numpy redraws must fall inside the walk
-        assert redrawing_streams(n, spec, b)
     if not thread_control:
         monkeypatch.setattr(_kernels, "_blas_threads", lambda: None)
     walked = []

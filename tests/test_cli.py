@@ -457,8 +457,12 @@ def test_second_interrupt_at_two_jobs_exits_with_the_flush(tmp_path):
     # Ctrl-C reaches the whole process group; a second SIGINT to the main
     # process must neither hang the run on its workers nor lose the flush
     out = tmp_path / "rows.csv"
-    argv = ["-v", "run", "--p", "100", "--truth", "200", "--outer", "320",
-            "--breps", "200", "--jobs", "2", "--out", str(out)]
+    # a block is 1/16 of the outer replicates: on a 2-vCPU Xeon the first is
+    # done after about 2 s and the run goes on for 11-14 s more, so a reader
+    # slowed by a loaded host still interrupts it before its end
+    outer = 8000
+    argv = ["-v", "run", "--n", "40", "--p", "20", "--truth", "200", "--outer", str(outer),
+            "--breps", "50", "--jobs", "2", "--out", str(out)]
     for _ in range(3):
         out.unlink(missing_ok=True)
         proc = subprocess.Popen(
@@ -483,7 +487,7 @@ def test_second_interrupt_at_two_jobs_exits_with_the_flush(tmp_path):
             proc.stderr.close()
         with out.open() as handle:
             rows = list(csv.DictReader(handle))
-        assert rows and all(0 < int(row["reps"]) < 320 for row in rows)
+        assert rows and all(0 < int(row["reps"]) < outer for row in rows)
 
 
 def test_check_rejects_trials_below_one(capsys):

@@ -9,7 +9,7 @@ from maxboot.datagen import CopulaSpec, Dependence
 from maxboot.harness import ExperimentConfig, run_experiment
 from maxboot.rng import SeedSpec
 
-from conftest import rejection_table
+from conftest import redrawing_streams, rejection_table
 
 # master seeds of one, two and three 32-bit words; paths of 0 to 6 keys, so
 # with the zero word and the child key the entropy runs from 3 words (below
@@ -84,13 +84,13 @@ test_rejects_bad_input = rejection_table(
 
 
 def test_streams_leave_a_walk_only_through_take():
-    # ``taken``, from which restarts are indexed, has take as its one writer
+    # ``taken``, from which ``integers`` indexes its redraws, has take as its one writer
     walk = SeedSpec(1).child_rngs(5)
     assert not hasattr(walk, "__iter__") and not hasattr(walk, "__next__")
     assert len(list(walk.take(2))) == 2 and walk.taken == 2
     (gen,) = walk.take(1)
     assert walk.taken == 3
-    assert gen.bit_generator.state == walk.restart(2).bit_generator.state
+    assert gen.bit_generator.state == SeedSpec(1).child(2).rng().bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -104,9 +104,53 @@ def test_take_counts_only_the_streams_it_serves(walk_of, k, served):
     states = [gen.bit_generator.state for gen in walk.take(k)]
     assert len(states) == served and walk.taken == served
     if served:
-        assert states[-1] == walk.restart(walk.taken - 1).bit_generator.state
+        # rng_walk's one stream is SeedSpec(1), which child(0) also names
+        assert states[-1] == SeedSpec(1).child(walk.taken - 1).rng().bit_generator.state
     # a used-up walk serves and counts nothing more
     assert list(walk.take(1)) == [] and walk.taken == served
+
+
+@pytest.mark.parametrize("k, n", [(20001, 20001), (2, 20001), (3, 57)], ids=["k-20001", "k-2", "n-57"])
+def test_integers_equal_numpy_per_row_draws(seating, k, n):
+    # fills of 1, 34 and 3 rows; at k = n = 20001 numpy redraws in streams 15
+    # and 35, and 35 ends the second fill
+    spec = SeedSpec(7).child(2, n)
+    if k == 20001:
+        assert redrawing_streams(n, spec, 40) == [15, 35]
+    walk = spec.child_rngs(100)
+    taken = 0
+    for b in (1, 34, 3):
+        rows = walk.integers(k, n, b)
+        for r, row in enumerate(rows, taken):
+            expect = spec.child(r).rng().integers(0, k, n)
+            assert row.tobytes() == expect.tobytes(), r
+            assert spec.child(r).rng_walk().integers(k, n, 1)[0].tobytes() == expect.tobytes(), r
+        taken += b
+        (after,) = walk.take(1)
+        assert after.bit_generator.state == spec.child(taken).rng().bit_generator.state
+        taken += 1
+
+
+def test_rejected_rows_exactly_below_the_threshold():
+    # rows of halves 5, x, 9, where (x * k) mod 2**32 is one below the
+    # threshold 2**32 mod k, and then the threshold itself
+    k = 20001
+    threshold = (1 << 32) % k
+    x = [low * pow(k, -1, 1 << 32) % (1 << 32) for low in (threshold - 1, threshold)]
+    halves = np.array([[5, x[0], 9], [5, x[1], 9]], dtype=np.uint32)
+    assert rng._rejected_rows(halves.copy(), k).tolist() == [0]
+    # 2**32 mod k is 0 for a power of two: nothing is ever rejected
+    assert rng._rejected_rows(halves.copy(), 2).tolist() == []
+
+
+def test_rejected_rows_match_python_ints():
+    # 2**32 mod k is about a third of 2**32, so about a third of the draws
+    # are rejected and most rows hold one
+    k = (1 << 32) // 3 + 1
+    halves = np.random.default_rng(3).integers(0, 1 << 32, (50, 3), dtype=np.uint32)
+    want = [r for r, row in enumerate(halves.tolist()) if any(x * k % (1 << 32) < (1 << 32) % k for x in row)]
+    assert 0 < len(want) < 50
+    assert rng._rejected_rows(halves.copy(), k).tolist() == want
 
 
 # 128-bit words as (low, high) uint64 pairs, against Python ints
