@@ -44,10 +44,7 @@ operations, and the bytes cannot depend on where a stack is cut (a block's
 first replicate, its length, ``--jobs``).  A stack holds at most 8 MiB of
 latent normals, so larger datasets share one with fewer others, down to one:
 a run whose one dataset fits in memory never needs room for four, and numpy
-refuses an unallocatable (n, p) matrix before anything is touched.  At n = 200
-(2-vCPU AMD EPYC, one BLAS thread) this took the recursion from 77 to 40 us per
-dataset at p = 100 and from 334 to 164 us at p = 400, and a whole AR(1)
-dataset from about 0.37 to 0.34 ms and from 1.40 to 1.24 ms.  The
+refuses an unallocatable (n, p) matrix before anything is touched.  The
 equicorrelated mix makes a few calls per dataset and stays one at a time.
 """
 

@@ -52,6 +52,8 @@ class CheckReport:
     details: str
 
     def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
         # normalize numpy scalars so reports serialize straight to JSON
         object.__setattr__(self, "passed", bool(self.passed))
         object.__setattr__(self, "max_violation", float(self.max_violation))
@@ -251,10 +253,12 @@ def check_gaussian_anticoncentration(p: int, eps: float, mc_reps: int, seed: See
         raise ValueError(f"mc_reps must be at least {MIN_MC_REPS}")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    if p < 1:
+        raise ValueError("p must be at least 1")
 
     rng = seed.rng()
     maxima = np.empty(mc_reps)
-    chunk = max(1, min(mc_reps, 200_000 // max(p, 1)))
+    chunk = max(1, min(mc_reps, 200_000 // p))
     done = 0
     while done < mc_reps:
         m = min(chunk, mc_reps - done)

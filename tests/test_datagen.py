@@ -44,23 +44,10 @@ def test_gamma_quantile_exponential_closed_forms():
     assert gamma_quantile(0.5, 1.0) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
-def test_gamma_quantile_round_trip():
-    for u in (0.01, 0.5, 0.99):
-        assert special.gammainc(3.0, gamma_quantile(u, 3.0)) == pytest.approx(u, abs=1e-9)
-
-
-def test_gamma_quantile_matches_scipy_inverse():
-    # independent inverse-CDF oracle; the stopping rule targets CDF accuracy,
-    # so quantile-space agreement loosens slightly as u -> 1
-    for u in (0.001, 0.05, 0.3, 0.5, 0.9, 0.999):
-        for a in (0.2, 1.0, 2.5, 17.5, 80.0):
-            ref = special.gammaincinv(a, u)
-            assert gamma_quantile(u, a) == pytest.approx(ref, rel=2e-8, abs=1e-12)
-
-
 def test_gamma_quantile_cdf_contract_in_tails():
-    for u in (1e-12, 1e-6, 1.0 - 1e-6, 1.0 - 1e-12):
-        for a in (0.3, 1.0, 7.0):
+    # both tails, the body, and shapes from 0.2 to 80
+    for u in (1e-12, 1e-6, 0.001, 0.01, 0.05, 0.3, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-12):
+        for a in (0.2, 0.3, 1.0, 2.5, 3.0, 7.0, 17.5, 80.0):
             x = gamma_quantile(u, a)
             assert abs(special.gammainc(a, x) - u) <= 1e-10 * u + 1e-15
 
@@ -203,13 +190,6 @@ def test_bit_identical_under_thread_concurrency():
             assert np.array_equal(fut.result().values, serial.values)
 
 
-def test_distinct_streams_differ():
-    spec = CopulaSpec(Dependence.AR1, 0.5, 2.0)
-    a = sample_gaussian_copula(spec, 32, 4, SeedSpec(5).child(0))
-    b = sample_gaussian_copula(spec, 32, 4, SeedSpec(5).child(1))
-    assert not np.array_equal(a.values, b.values)
-
-
 # ---------------------------------------------------------------------------
 # byte identity with a one-shot evaluation
 # ---------------------------------------------------------------------------
@@ -257,16 +237,22 @@ def one_shot_sample(spec: CopulaSpec, n: int, p: int, seed: SeedSpec) -> np.ndar
 PIECE_SHAPES = [(127, 129), (128, 128), (113, 145), (200, 300), (50, 1), (1, 40)]
 assert [n * p for n, p in PIECE_SHAPES[:4]] == [_PIECE - 1, _PIECE, _PIECE + 1, 60_000]
 assert 60_000 > 3 * _PIECE
+# four datasets of every shape fit in one AR(1) stack
+assert _STACK == 4 and 4 * 8 * 60_000 <= datagen._STACK_BYTES
 
 
 @pytest.mark.parametrize("structure", list(Dependence))
 @pytest.mark.parametrize("a", (0.05, 1.0, 10.0))
-@pytest.mark.parametrize("n, p", PIECE_SHAPES)
-def test_sampler_matches_one_shot_evaluation(structure, a, n, p):
+@pytest.mark.parametrize("n, p", [*PIECE_SHAPES, (2, 2)])
+def test_every_stacked_dataset_is_its_seeds_one_shot_evaluation(structure, a, n, p):
+    # blocks of 1 to 4 seeds are one AR(1) stack each, full at 4 and cut short
+    # below; 9 seeds are two full stacks and a stack of one
     spec = CopulaSpec(structure, 0.6, a)
-    got = sample_gaussian_copula(spec, n, p, seed(7, n, p))
-    expected = one_shot_sample(spec, n, p, seed(7, n, p))
-    assert got.values.tobytes() == expected.tobytes()
+    for count in (1, 2, 3, 4, 9):
+        seeds = [seed(7, n, p, count, i) for i in range(count)]
+        for data, s in zip(_sample_block(spec, n, p, seeds), seeds, strict=True):
+            assert data.values.tobytes() == one_shot_sample(spec, n, p, s).tobytes()
+            assert data.known_mean.tobytes() == np.full(p, a).tobytes()
 
 
 @pytest.mark.parametrize("a", (0.05, 1.0, 10.0))
@@ -299,28 +285,6 @@ def test_correlated_raw_normals_are_the_one_shot_latent_matrices(structure, rho,
     assert [y.tobytes() for y in latent] == [one_shot_latent(spec, n, p, s).tobytes() for s in seeds]
 
 
-def block_bytes(spec: CopulaSpec, n: int, p: int, seeds: list) -> list[tuple[bytes, bytes]]:
-    return [(d.values.tobytes(), d.known_mean.tobytes()) for d in _sample_block(spec, n, p, seeds)]
-
-
-def per_seed_bytes(spec: CopulaSpec, n: int, p: int, seeds: list) -> list[tuple[bytes, bytes]]:
-    datasets = [sample_gaussian_copula(spec, n, p, s) for s in seeds]
-    return [(d.values.tobytes(), d.known_mean.tobytes()) for d in datasets]
-
-
-@pytest.mark.parametrize("structure", list(Dependence))
-@pytest.mark.parametrize("rho", (0.0, 0.9))
-@pytest.mark.parametrize("a", (1.0, 0.05))
-@pytest.mark.parametrize("n", (1, 2, 200))
-@pytest.mark.parametrize("p", (1, 2, 100))
-def test_block_sampler_matches_per_seed_calls(structure, rho, a, n, p):
-    # 1 to 9 seeds: the last stack is full at 4 and 8 and partial elsewhere
-    spec = CopulaSpec(structure, rho, a)
-    seeds = [seed(8, n, p, i) for i in range(9)]
-    for count in range(1, 10):
-        assert block_bytes(spec, n, p, seeds[:count]) == per_seed_bytes(spec, n, p, seeds[:count])
-
-
 def stack_size(spec: CopulaSpec, n: int, p: int) -> int:
     """How many seeds the block sampler takes before yielding its first dataset."""
     taken = []
@@ -336,8 +300,6 @@ def test_stack_is_capped_in_bytes(monkeypatch, cap_in_datasets, expected):
     spec = CopulaSpec(Dependence.AR1, 0.5, 2.0)
     monkeypatch.setattr(datagen, "_STACK_BYTES", int(cap_in_datasets * 8 * n * p))
     assert stack_size(spec, n, p) == expected
-    seeds = [seed(10, i) for i in range(7)]
-    assert block_bytes(spec, n, p, seeds) == per_seed_bytes(spec, n, p, seeds)
 
 
 def test_stack_sizes_by_structure_and_size():

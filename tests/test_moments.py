@@ -281,9 +281,7 @@ def test_moment_tensor_mc_draws_replicate_r_from_child_r(plan, center):
     np.testing.assert_allclose(se, reps.std(axis=0) / math.sqrt(b), rtol=1e-9)
 
 
-# one case, kept parametrized so its id stays "closed-form"
-@pytest.mark.parametrize("seeded", [False], ids=["closed-form"])
-def test_mixed_fallback_warns_once_per_call(caplog, seeded):
+def test_mixed_fallback_warns_once_per_call(caplog):
     data = DataMatrix(np.random.default_rng(6).gamma(1.5, 1.0, (8, 2)))
     plan = BootstrapPlan.mixed_wild(0.5, 2000)
     with caplog.at_level("WARNING", logger="maxboot.bootstrap"):
