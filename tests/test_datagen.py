@@ -242,12 +242,13 @@ assert _STACK == 4 and 4 * 8 * 60_000 <= datagen._STACK_BYTES
 
 
 @pytest.mark.parametrize("structure", list(Dependence))
+@pytest.mark.parametrize("rho", (0.0, 0.6, 0.9))
 @pytest.mark.parametrize("a", (0.05, 1.0, 10.0))
 @pytest.mark.parametrize("n, p", [*PIECE_SHAPES, (2, 2)])
-def test_every_stacked_dataset_is_its_seeds_one_shot_evaluation(structure, a, n, p):
+def test_every_stacked_dataset_is_its_seeds_one_shot_evaluation(structure, rho, a, n, p):
     # blocks of 1 to 4 seeds are one AR(1) stack each, full at 4 and cut short
     # below; 9 seeds are two full stacks and a stack of one
-    spec = CopulaSpec(structure, 0.6, a)
+    spec = CopulaSpec(structure, rho, a)
     for count in (1, 2, 3, 4, 9):
         seeds = [seed(7, n, p, count, i) for i in range(count)]
         for data, s in zip(_sample_block(spec, n, p, seeds), seeds, strict=True):
