@@ -8,7 +8,8 @@ jobs - 1 worker processes, started only above one job, compute the rest,
 each talking to it over one pipe.
 Every replicate derives its own random substream from the master seed, and
 the runner collects the blocks in order, so results are byte-identical at
-any worker count.
+any worker count.  ``_FIELDS`` names an outer replicate's fields, which are
+also the metrics of the result rows.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ _TRUTH, _DATA, _BOOT = 0, 1, 2
 # the paper's experiment labels, and the output formats of ``emit_results``
 EXPERIMENTS = {"I": Dependence.EQUICORRELATED, "II": Dependence.AR1}
 FORMATS = ("csv", "json")
+_FIELDS = ("KS", "Coverage")  # in the order of axis 1 of ``_outer_block``'s array
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class ResultRow:
     rho: float
     shape_alpha: float
     scheme: str
-    metric: str  # "KS" or "Coverage"
+    metric: str  # a name in _FIELDS
     mean: float
     std: float
     reps: int
@@ -121,9 +123,19 @@ def _row_order(row: ResultRow) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """The rows, every replicate's values as one read-only (``_FIELDS``,
+    ``schemes``, replicates) array, and the truth law behind every KS value."""
+
     rows: list[ResultRow]
-    per_rep_ks: dict[str, np.ndarray]
-    per_rep_cover: dict[str, np.ndarray]
+    per_rep: np.ndarray
+    schemes: tuple[str, ...]
+    truth: EmpiricalDistribution
+
+    def _by_scheme(self, field: str) -> dict[str, np.ndarray]:
+        return dict(zip(self.schemes, self.per_rep[_FIELDS.index(field)]))
+
+    per_rep_ks = property(functools.partial(_by_scheme, field="KS"))
+    per_rep_cover = property(functools.partial(_by_scheme, field="Coverage"))
 
 
 def check_jobs(jobs: int) -> None:
@@ -150,16 +162,17 @@ def _truth_block(config: ExperimentConfig, reps: range) -> list[float]:
 
 
 def _outer_block(config: ExperimentConfig, truth: EmpiricalDistribution, reps: range) -> np.ndarray:
-    """Replicates ``reps`` as one (len(reps), 2, len(config.schemes)) array:
-    [i, 0, s] is replicate reps[i]'s KS distance to the truth law under scheme
-    s, and [i, 1, s] its coverage bit, 0.0 or 1.0."""
-    out = np.empty((len(reps), 2, len(config.schemes)))
+    """Replicates ``reps`` as one (len(reps), fields, len(config.schemes))
+    array: [i, f, s] is replicate reps[i]'s value of field ``_FIELDS[f]`` under
+    scheme s, its KS distance to the truth law or its coverage bit (0.0 or 1.0)."""
+    out = np.empty((len(reps), len(_FIELDS), len(config.schemes)))
     for i, (r, (data, tn)) in enumerate(zip(reps, _datasets(config, _DATA, reps))):
         for s, plan in enumerate(config.schemes):
             law = bootstrap_distribution(
                 data, plan, config.mode, SeedSpec(config.master_seed).child(_BOOT, r, s)
             )
-            out[i, :, s] = two_sample_ks(truth, law), tn <= upper_quantile(law, config.alpha_level)
+            values = {"KS": two_sample_ks(truth, law), "Coverage": tn <= upper_quantile(law, config.alpha_level)}
+            out[i, :, s] = [values[field] for field in _FIELDS]
     return out
 
 
@@ -265,36 +278,28 @@ def run_truth(config: ExperimentConfig, jobs: int = 1) -> EmpiricalDistribution:
         return _truth_law(config, run)
 
 
-def _aggregate(config: ExperimentConfig, per_rep: list) -> ExperimentResult:
-    names = [plan.name for plan in config.schemes]
-    # the rows of the outer blocks, as one contiguous (2, schemes, reps) array
-    ks, cover = np.array(per_rep).transpose(1, 2, 0).copy()
-    per_rep_ks, per_rep_cover = dict(zip(names, ks)), dict(zip(names, cover))
+def _aggregate(config: ExperimentConfig, truth: EmpiricalDistribution, per_rep: list) -> ExperimentResult:
+    schemes = tuple(plan.name for plan in config.schemes)
+    # the rows of the outer blocks, as one contiguous (fields, schemes, reps) array
+    array = np.array(per_rep).transpose(1, 2, 0).copy()
+    array.flags.writeable = False
 
     rows = []
-    for name in names:
-        for metric, values in (("KS", per_rep_ks[name]), ("Coverage", per_rep_cover[name])):
+    for metric, by_scheme in zip(_FIELDS, array):
+        for name, values in zip(schemes, by_scheme):
             std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-            rows.append(
-                ResultRow(
-                    experiment=config.experiment,
-                    rho=config.copula.rho,
-                    shape_alpha=config.copula.shape_alpha,
-                    scheme=name,
-                    metric=metric,
-                    mean=float(values.mean()),
-                    std=std,
-                    reps=values.size,
-                )
-            )
+            rows.append(ResultRow(
+                config.experiment, config.copula.rho, config.copula.shape_alpha,
+                scheme=name, metric=metric, mean=float(values.mean()), std=std, reps=values.size,
+            ))
     rows.sort(key=_row_order)
-    return ExperimentResult(rows=rows, per_rep_ks=per_rep_ks, per_rep_cover=per_rep_cover)
+    return ExperimentResult(rows=rows, per_rep=array, schemes=schemes, truth=truth)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1, on_interrupt=None) -> ExperimentResult:
-    """Truth law plus outer_reps dataset replicates of every scheme's KS
-    distance and coverage indicator, aggregated to one row per
-    (scheme, metric).
+    """Truth law plus outer_reps dataset replicates of every scheme's
+    ``_FIELDS`` values (KS distance and coverage indicator), aggregated to one
+    row per (scheme, metric).
 
     On KeyboardInterrupt, ``on_interrupt`` (when given) receives the result
     of the outer replicates finished so far, if any, and then the interrupt
@@ -310,9 +315,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1, on_interrupt=None) -
     except KeyboardInterrupt:
         if per_rep and on_interrupt is not None:
             logger.warning("interrupted; flushing %d completed replicates", len(per_rep))
-            on_interrupt(_aggregate(config, per_rep))
+            on_interrupt(_aggregate(config, truth, per_rep))
         raise
-    return _aggregate(config, per_rep)
+    return _aggregate(config, truth, per_rep)
 
 
 def _fmt(value) -> str:

@@ -23,6 +23,7 @@ __all__ = [
     "max_statistic",
     "smooth_max",
     "softmax_weights",
+    "quantile_rank",
     "upper_quantile",
     "two_sample_ks",
     "concentration_fn",
@@ -97,16 +98,18 @@ def softmax_weights(z: np.ndarray, beta: float) -> np.ndarray:
     return e / e.sum()
 
 
-def upper_quantile(dist: EmpiricalDistribution, alpha: float) -> float:
-    """Smallest sample value t with (#{x > t}) / size <= alpha.
-
-    Realized as the ceil((1 - alpha) * size) order statistic (1-indexed).
-    """
+def quantile_rank(size: int, alpha: float) -> int:
+    """k = ceil((1 - alpha) size) within [1, size].  A law of b draws from the
+    truth law itself covers T_n with probability k / (b + 1), for any continuous law."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    k = math.ceil((1.0 - alpha) * dist.size - _CEIL_GUARD)
-    k = min(max(k, 1), dist.size)
-    return float(dist.sample[k - 1])
+    return min(max(math.ceil((1.0 - alpha) * size - _CEIL_GUARD), 1), size)
+
+
+def upper_quantile(dist: EmpiricalDistribution, alpha: float) -> float:
+    """Smallest sample value t with (#{x > t}) / size <= alpha: the order
+    statistic (1-indexed) that ``quantile_rank`` names."""
+    return float(dist.sample[quantile_rank(dist.size, alpha) - 1])
 
 
 def two_sample_ks(a: EmpiricalDistribution, b: EmpiricalDistribution) -> float:

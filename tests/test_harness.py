@@ -27,7 +27,7 @@ from maxboot.harness import (
     run_experiment,
     run_truth,
 )
-from maxboot.stat_core import MaxMode
+from maxboot.stat_core import EmpiricalDistribution, MaxMode, max_statistic, quantile_rank, two_sample_ks
 
 from conftest import rejection_table
 
@@ -116,12 +116,11 @@ def test_truth_law_at_rho_zero_is_the_exact_law_at_paper_size(structure, shape, 
 
 
 def same_result(a, b):
-    """Assert that two run results are equal: the same rows, and in both
-    per-replicate maps the same schemes in the same order, with the same bytes."""
-    assert a.rows == b.rows
-    for field in ("per_rep_ks", "per_rep_cover"):
-        got, want = getattr(a, field), getattr(b, field)
-        assert [(k, v.tobytes()) for k, v in got.items()] == [(k, v.tobytes()) for k, v in want.items()]
+    """Assert that two run results are equal: the same rows, schemes and
+    per-replicate array, and the same truth law, byte for byte."""
+    assert (a.rows, a.schemes) == (b.rows, b.schemes)
+    assert (a.per_rep.shape, a.per_rep.tobytes()) == (b.per_rep.shape, b.per_rep.tobytes())
+    assert a.truth.sample.tobytes() == b.truth.sample.tobytes()
 
 
 @pytest.mark.parametrize("mode", list(MaxMode))
@@ -137,6 +136,49 @@ def test_rows_aggregate_the_per_replicate_arrays(mode):
     for ks, cover in zip(result.per_rep_ks.values(), result.per_rep_cover.values()):
         assert 0.0 <= ks.min() and ks.max() <= 1.0
         assert set(cover.tolist()) <= {0.0, 1.0}
+    # the per-scheme maps are views of the one read-only array
+    assert result.per_rep.shape == (2, 2, cfg.outer_reps)
+    for values in (result.per_rep_ks["gaussian"], result.per_rep_cover["empirical"]):
+        assert np.shares_memory(values, result.per_rep)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.5
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_kept_truth_law_is_run_truths_law(jobs):
+    # at jobs 2, 40 truth and 1 outer replicate, both calls start one worker;
+    # at 1 truth replicate run_truth starts none and run_experiment still one
+    for cfg in (tiny_config(outer_reps=1, truth_reps=40), tiny_config(outer_reps=2, truth_reps=1)):
+        assert run_experiment(cfg, jobs=jobs).truth.sample.tobytes() == run_truth(cfg, jobs=jobs).sample.tobytes()
+
+
+def test_a_law_drawn_from_the_truth_law_shows_the_known_answers(monkeypatch):
+    # an oracle "bootstrap" whose b draws are max statistics of fresh datasets
+    # drawn from the law's own seed: its law is the truth law, so the run
+    # checks the pairing of T_n with its law, the quantile rule and the KS
+    # distance, with no bootstrap theory involved
+    cfg = tiny_config(n=20, p=5, schemes=(BootstrapPlan.wild(GAUSSIAN, 50),), outer_reps=1000,
+                      truth_reps=2000, master_seed=20250808)
+
+    def oracle(data, plan, mode, seed):
+        datasets = harness._sample_block(cfg.copula, cfg.n, cfg.p, (seed.child(j) for j in range(plan.b_reps)))
+        return EmpiricalDistribution(np.array([max_statistic(d, d.known_mean, mode) for d in datasets]))
+
+    monkeypatch.setattr(harness, "bootstrap_distribution", oracle)
+    rows = {row.metric: row for row in run_experiment(cfg, jobs=1).rows}
+    # T_n and the law's 50 draws are exchangeable: coverage k / (b + 1) = 48/51
+    # exactly, whatever the truth sample, within 3 binomial SEs
+    target = quantile_rank(50, cfg.alpha_level) / 51
+    assert abs(rows["Coverage"].mean - target) <= 3 * math.sqrt(target * (1 - target) / 1000)
+    # the KS distance of a 2000-sample and a 50-sample of one continuous law
+    # has one distribution, simulated here with uniforms; the tolerance adds
+    # to the run's own SE the spread of a run's mean over truth samples (an
+    # sd of 0.0015 over 40 of them) and the simulation's SE
+    rng = np.random.default_rng(20250808)
+    null = [two_sample_ks(EmpiricalDistribution(rng.random(2000)), EmpiricalDistribution(rng.random(50)))
+            for _ in range(4000)]
+    run_se, null_se = rows["KS"].std / math.sqrt(1000), np.std(null, ddof=1) / math.sqrt(4000)
+    assert abs(rows["KS"].mean - np.mean(null)) <= 3 * math.sqrt(run_se**2 + 0.0015**2 + null_se**2)
 
 
 def test_parallel_results_identical():

@@ -9,6 +9,7 @@ from maxboot.stat_core import (
     MaxMode,
     concentration_fn,
     max_statistic,
+    quantile_rank,
     smooth_max,
     softmax_weights,
     two_sample_ks,
@@ -197,6 +198,20 @@ def test_upper_quantile_infimum_oracle(rng):
         assert upper_quantile(d, alpha) == min(candidates)
 
 
+@pytest.mark.parametrize("b, coverage", [(500, 0.94810), (200, 0.94527), (50, 48 / 51)])
+def test_quantile_rank_gives_the_coverage_of_a_perfect_law(b, coverage):
+    # T_n and b draws of its own continuous law are exchangeable, so T_n falls
+    # at or below the k-th smallest draw with probability k / (b + 1)
+    assert quantile_rank(b, 0.05) / (b + 1) == pytest.approx(coverage, abs=5e-6)
+
+
+def test_quantile_rank_guards_float_fuzz_and_stays_in_the_sample():
+    # (1 - 0.7) * 20 is 6.000000000000001 in floats
+    assert quantile_rank(20, 0.7) == 6
+    assert quantile_rank(1, 1 - 1e-10) == 1
+    assert quantile_rank(1000, 1e-17) == 1000
+
+
 def test_upper_quantile_nonincreasing_in_alpha(rng):
     d = EmpiricalDistribution(rng.standard_normal(37))
     qs = [upper_quantile(d, a) for a in np.arange(0.01, 1.0, 0.01)]
@@ -292,5 +307,6 @@ test_rejects_bad_input = rejection_table(
     (lambda: softmax_weights(np.array([]), 1.0), ValueError, "z must be a nonempty 1-d array"),
     (lambda: upper_quantile(dist(1.0), 0.0), ValueError, "alpha must lie in (0, 1)"),
     (lambda: upper_quantile(dist(1.0), 1.0), ValueError, "alpha must lie in (0, 1)"),
+    (lambda: quantile_rank(10, 0.0), ValueError, "alpha must lie in (0, 1)"),
     (lambda: concentration_fn(dist(0.0), -1.0), ValueError, "eps must be positive"),
 )
