@@ -150,7 +150,7 @@ def _emit(values: dict, result: ExperimentResult) -> None:
     to --figure-data when it is set."""
     emit_results(result.rows, values["format"], values["out"])
     if values["figure_data"]:
-        emit_figure_data(result.per_rep_ks, values["figure_data"])
+        emit_figure_data(result.by_scheme("KS"), values["figure_data"])
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -104,7 +104,7 @@ class Centering(enum.Enum):
     SAMPLE_MEAN = "sample"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataMatrix:
     """n x p observation matrix with independent rows.
 

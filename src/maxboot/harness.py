@@ -9,7 +9,8 @@ each talking to it over one pipe.
 Every replicate derives its own random substream from the master seed, and
 the runner collects the blocks in order, so results are byte-identical at
 any worker count.  ``_FIELDS`` names an outer replicate's fields, which are
-also the metrics of the result rows.
+also the metrics of the result rows and what ``ExperimentResult.by_scheme``
+reads.  A finished result cannot change: its rows, arrays and laws are read-only.
 """
 
 from __future__ import annotations
@@ -121,21 +122,22 @@ def _row_order(row: ResultRow) -> tuple:
     return (row.experiment, row.scheme, row.metric)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """The rows, every replicate's values as one read-only (``_FIELDS``,
-    ``schemes``, replicates) array, and the truth law behind every KS value."""
+    ``schemes``, replicates) array, and the truth law behind every KS value;
+    ``==`` is identity, so compare the bytes of ``per_rep`` and ``truth.sample``."""
 
-    rows: list[ResultRow]
+    rows: tuple[ResultRow, ...]
     per_rep: np.ndarray
     schemes: tuple[str, ...]
     truth: EmpiricalDistribution
 
-    def _by_scheme(self, field: str) -> dict[str, np.ndarray]:
-        return dict(zip(self.schemes, self.per_rep[_FIELDS.index(field)]))
-
-    per_rep_ks = property(functools.partial(_by_scheme, field="KS"))
-    per_rep_cover = property(functools.partial(_by_scheme, field="Coverage"))
+    def by_scheme(self, metric: str) -> dict[str, np.ndarray]:
+        """Each scheme's values of ``metric``, a name in ``_FIELDS``, as a read-only view of ``per_rep``."""
+        if metric not in _FIELDS:
+            raise ValueError(f"metric must be {' or '.join(map(repr, _FIELDS))}, got {metric!r}")
+        return dict(zip(self.schemes, self.per_rep[_FIELDS.index(metric)]))
 
 
 def check_jobs(jobs: int) -> None:
@@ -292,8 +294,7 @@ def _aggregate(config: ExperimentConfig, truth: EmpiricalDistribution, per_rep: 
                 config.experiment, config.copula.rho, config.copula.shape_alpha,
                 scheme=name, metric=metric, mean=float(values.mean()), std=std, reps=values.size,
             ))
-    rows.sort(key=_row_order)
-    return ExperimentResult(rows=rows, per_rep=array, schemes=schemes, truth=truth)
+    return ExperimentResult(rows=tuple(sorted(rows, key=_row_order)), per_rep=array, schemes=schemes, truth=truth)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1, on_interrupt=None) -> ExperimentResult:

@@ -4,7 +4,7 @@ quantiles, and distance / concentration functionals on step CDFs.
 All distribution-level quantities are computed exactly for step functions:
 supremum evaluations run over pooled sample points, or over windows anchored
 at sample points, which is sufficient because step CDFs only change value
-there.
+there.  An ``EmpiricalDistribution`` keeps its sample sorted and read-only.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ class MaxMode(enum.Enum):
     ABSOLUTE = "abs"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Sorted sample of a scalar statistic with CDF/quantile queries."""
+    """Sorted, read-only sample of a scalar statistic with CDF/quantile queries; ``==`` is identity."""
 
     sample: np.ndarray
 
@@ -51,6 +51,7 @@ class EmpiricalDistribution:
         if np.isnan(sample).any():
             raise ValueError("sample must not contain NaN")
         object.__setattr__(self, "sample", np.sort(sample))
+        self.sample.flags.writeable = False
 
     @property
     def size(self) -> int:

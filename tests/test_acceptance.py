@@ -275,7 +275,7 @@ def test_criterion_10_determinism(desk_run, tmp_path):
         rows_path = tmp_path / f"rows_{tag}.csv"
         fig_path = tmp_path / f"fig_{tag}.csv"
         emit_results(result.rows, "csv", str(rows_path))
-        emit_figure_data(result.per_rep_ks, str(fig_path))
+        emit_figure_data(result.by_scheme("KS"), str(fig_path))
         paths[tag] = (rows_path.read_bytes(), fig_path.read_bytes())
     ok = paths["j8"][0] == paths["j1"][0] and paths["j8"][1] == paths["j1"][1]
     report(

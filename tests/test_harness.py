@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import functools
 import json
@@ -18,9 +19,10 @@ from scipy import special, stats
 
 from maxboot import cli, harness
 from maxboot.bootstrap import GAUSSIAN, BootstrapPlan
-from maxboot.datagen import CopulaSpec, Dependence
+from maxboot.datagen import CopulaSpec, DataMatrix, Dependence
 from maxboot.harness import (
     ExperimentConfig,
+    ExperimentResult,
     ResultRow,
     emit_figure_data,
     emit_results,
@@ -123,6 +125,19 @@ def same_result(a, b):
     assert a.truth.sample.tobytes() == b.truth.sample.tobytes()
 
 
+def check_read_only(result):
+    """Assert that ``result`` cannot change: its rows are a tuple, and a write
+    through any ``by_scheme`` view of ``per_rep`` or into the truth law raises."""
+    assert isinstance(result.rows, tuple)
+    for metric in harness._FIELDS:
+        for values in result.by_scheme(metric).values():
+            assert np.shares_memory(values, result.per_rep)
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        result.truth.sample[0] = 0.5
+
+
 @pytest.mark.parametrize("mode", list(MaxMode))
 def test_rows_aggregate_the_per_replicate_arrays(mode):
     cfg = tiny_config(mode=mode)
@@ -131,17 +146,33 @@ def test_rows_aggregate_the_per_replicate_arrays(mode):
     assert keys == [("empirical", "Coverage"), ("empirical", "KS"), ("gaussian", "Coverage"), ("gaussian", "KS")]
     for row in result.rows:
         assert (row.experiment, row.reps) == ("II", cfg.outer_reps)
-        values = (result.per_rep_ks if row.metric == "KS" else result.per_rep_cover)[row.scheme]
+        values = result.by_scheme(row.metric)[row.scheme]
         assert (row.mean, row.std) == (values.mean(), values.std(ddof=1))
-    for ks, cover in zip(result.per_rep_ks.values(), result.per_rep_cover.values()):
+    for ks, cover in zip(result.by_scheme("KS").values(), result.by_scheme("Coverage").values()):
         assert 0.0 <= ks.min() and ks.max() <= 1.0
         assert set(cover.tolist()) <= {0.0, 1.0}
-    # the per-scheme maps are views of the one read-only array
     assert result.per_rep.shape == (2, 2, cfg.outer_reps)
-    for values in (result.per_rep_ks["gaussian"], result.per_rep_cover["empirical"]):
-        assert np.shares_memory(values, result.per_rep)
+    check_read_only(result)
+
+
+def test_every_law_of_a_run_is_read_only_and_records_compare_by_identity(monkeypatch):
+    laws = []
+
+    def recording(*args, law=harness.bootstrap_distribution):
+        laws.append(law(*args))
+        return laws[-1]
+
+    monkeypatch.setattr(harness, "bootstrap_distribution", recording)
+    result = run_experiment(tiny_config(outer_reps=2))
+    assert len(laws) == 4
+    for law in laws:
         with pytest.raises(ValueError, match="read-only"):
-            values[0] = 0.5
+            law.sample[0] = 0.5
+    # the array-holding records compare and hash by identity, so a copy is
+    # another record; contents are compared as same_result does
+    for record in (result, result.truth, laws[0], DataMatrix(np.zeros((2, 3)))):
+        assert record == record and record != copy.copy(record)
+        assert hash(record) == hash(record)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -202,6 +233,7 @@ def test_interrupt_flushes_completed_replicates(interrupt_block, caplog):
     assert any("interrupted" in rec.message for rec in caplog.records)
     (partial,) = flushed
     same_result(partial, clean)
+    check_read_only(partial)
 
 
 def test_interrupt_in_the_truth_phase_flushes_nothing(interrupt_block):
@@ -473,7 +505,7 @@ def test_figure_data_preserves_exact_means(tmp_path):
     cfg = tiny_config()
     result = run_experiment(cfg)
     path = tmp_path / "fig.csv"
-    emit_figure_data(result.per_rep_ks, str(path))
+    emit_figure_data(result.by_scheme("KS"), str(path))
     with open(path) as handle:
         parsed = list(csv.DictReader(handle))
     for row in result.rows:
@@ -542,4 +574,6 @@ test_rejects_bad_input = rejection_table(
     (lambda: emit_results(rows_fixture(), "csv", "nodir/rows.csv"), OSError,
      "cannot write results to 'nodir/rows.csv': [Errno 2] No such file or directory: 'nodir/rows.csv'"),
     (lambda: emit_figure_data({}, "fig.csv"), ValueError, "per_rep_values must be nonempty"),
+    (lambda: ExperimentResult((), np.zeros((2, 1, 1)), ("gaussian",), EmpiricalDistribution(np.zeros(1)))
+     .by_scheme("ks"), ValueError, "metric must be 'KS' or 'Coverage', got 'ks'"),
 )

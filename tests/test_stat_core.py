@@ -1,4 +1,6 @@
 import math
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -243,6 +245,36 @@ def test_ks_matches_oracle(rng):
         assert got == pytest.approx(ks_oracle(a, b), abs=1e-14)
 
 
+def check_ks_null(m, b, pairs, recorded, recorded_se):
+    # the KS distance between an m-sample and a b-sample of one continuous law
+    # has one distribution for every such law, so uniforms give it; its mean
+    # must match the recorded simulation within 3 combined SEs and lie below
+    # the asymptotic sqrt(pi / 2) ln 2 sqrt(1/m + 1/b), the Kolmogorov law's mean
+    rng = np.random.default_rng(20250808)
+    draws = [two_sample_ks(EmpiricalDistribution(rng.random(m)), EmpiricalDistribution(rng.random(b)))
+             for _ in range(pairs)]
+    mean, se = np.mean(draws), np.std(draws, ddof=1) / math.sqrt(pairs)
+    combined = math.sqrt(se**2 + recorded_se**2)
+    asymptotic = math.sqrt(math.pi / 2) * math.log(2) * math.sqrt(1 / m + 1 / b)
+    print(f"KS null at (m, b) = ({m}, {b}), {pairs} pairs: mean {mean:.5f} (SE {se:.5f}),"
+          f" {abs(mean - recorded) / combined:.2f} combined SEs from the recorded {recorded} (bound 3),"
+          f" {(asymptotic - mean) / se:.1f} SEs below the asymptotic {asymptotic:.5f}")
+    assert abs(mean - recorded) <= 3 * combined
+    assert mean < asymptotic
+
+
+def test_the_ks_null_mean_at_desk_size():
+    check_ks_null(2000, 200, pairs=10_000, recorded=0.06348, recorded_se=0.00014)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("MAXBOOT_PAPER"),
+    reason="20,000 paper-size pairs take about 9 s on a 2-vCPU machine; set MAXBOOT_PAPER=1 to enable",
+)
+def test_the_ks_null_mean_at_paper_size():
+    check_ks_null(5000, 500, pairs=20_000, recorded=0.04036, recorded_se=0.00009)
+
+
 def test_ks_symmetric_bounded_zero_iff_equal(rng):
     a = rng.standard_normal(15)
     b = rng.standard_normal(20)
@@ -294,6 +326,21 @@ def test_concentration_matches_oracle(rng):
 def test_distribution_sorts():
     d = dist(3.0, 1.0, 2.0)
     assert d.sample.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_the_sorted_sample_is_read_only_and_pickle_rebuilds_it(monkeypatch):
+    d = dist(3.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match="read-only"):
+        d.sample[0] = 4.0
+    # a law sent to a worker is rebuilt by pickle, not by __post_init__; the
+    # worker only reads its copy, whose flags follow the pickle protocol
+    payload = pickle.dumps(d)
+
+    def rebuilt(self):
+        raise AssertionError("__post_init__ ran on unpickling")
+
+    monkeypatch.setattr(EmpiricalDistribution, "__post_init__", rebuilt)
+    assert pickle.loads(payload).sample.tobytes() == d.sample.tobytes()
 
 
 test_rejects_bad_input = rejection_table(
